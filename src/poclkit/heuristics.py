@@ -35,9 +35,6 @@ class CostTable:
     variant: str                 # "plain" | "effort"
     fact_cost: tuple[float, ...]
 
-    def cost(self, fact: int) -> float:
-        return self.fact_cost[fact]
-
 
 @dataclass(frozen=True)
 class CostTables:
@@ -93,21 +90,17 @@ def eval_oc(plan: PartialPlan) -> float:
     return float(len(plan.open_conds))
 
 
-def _reusable(plan: PartialPlan, fact: int, consumer: int) -> bool:
-    # Some existing step (other than the consumer) adds the fact and could be
-    # consistently ordered before the consumer.
-    for sid, act in plan.steps.items():
-        if sid != consumer and fact in act.add and plan.can_order(sid, consumer):
-            return True
-    return False
-
-
 def eval_add(plan: PartialPlan, table: CostTable, reuse: bool = False) -> float:
     """Sum of table costs over open conditions; with ``reuse`` a condition an
-    existing step can consistently supply contributes 0."""
+    existing step can consistently supply contributes 0.
+
+    A step can supply ``fact`` to ``consumer`` when it adds the fact, is not
+    the consumer and does not come after it: one mask test.
+    """
+    producers, after = plan.producers, plan.after
     total = 0.0
     for fact, consumer in plan.open_conds:
-        if reuse and _reusable(plan, fact, consumer):
+        if reuse and producers.get(fact, 0) & ~((1 << consumer) | after[consumer]):
             continue
         c = table.fact_cost[fact]
         if c == INF:
@@ -119,16 +112,17 @@ def eval_add(plan: PartialPlan, table: CostTable, reuse: bool = False) -> float:
 def feature_vector(plan: PartialPlan, tables: CostTables) -> FeatureVector:
     """All six features, in the fixed (g, oc, add, add_w, add_r, add_w_r) order.
 
-    One pass over the open conditions; the reusability test is shared by the
-    two discounted sums.
+    One pass over the open conditions; the reusability test (as in
+    ``eval_add``) is shared by the two discounted sums.
     """
+    producers, after = plan.producers, plan.after
     add = add_w = add_r = add_w_r = 0.0
     for fact, consumer in plan.open_conds:
         plain = tables.plain.fact_cost[fact]
         effort = tables.effort.fact_cost[fact]
         add += plain
         add_w += effort
-        if not _reusable(plan, fact, consumer):
+        if not producers.get(fact, 0) & ~((1 << consumer) | after[consumer]):
             add_r += plain
             add_w_r += effort
     return FeatureVector(eval_g(plan), eval_oc(plan), add, add_w, add_r, add_w_r)

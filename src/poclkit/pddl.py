@@ -149,34 +149,38 @@ class _Node:
 
 
 def _read_sexpr(tokens: list[_Token], filename: str) -> _Node:
-    pos = 0
-
-    def read() -> _Node | _Token:
-        nonlocal pos
+    """One top-level form. Iterative, so nesting depth is bounded by memory only."""
+    if not tokens:
+        raise ParseError("unexpected end of input", filename, 1, 1)
+    first = tokens[0]
+    if first.value == ")":
+        raise ParseError("unexpected ')'", filename, first.line, first.col)
+    if first.value != "(":
+        if len(tokens) > 1:
+            raise ParseError("trailing content after top-level form", filename,
+                             tokens[1].line, tokens[1].col)
+        raise ParseError("expected a parenthesized form", filename, first.line, first.col)
+    open_lists: list[tuple[_Token, list]] = [(first, [])]   # innermost last
+    pos = 1
+    while True:
         if pos >= len(tokens):
-            last = tokens[-1] if tokens else _Token("", 1, 1)
-            raise ParseError("unexpected end of input", filename, last.line, last.col)
+            tok = open_lists[-1][0]
+            raise ParseError("missing closing parenthesis", filename, tok.line, tok.col)
         tok = tokens[pos]
         pos += 1
         if tok.value == "(":
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise ParseError("missing closing parenthesis", filename, tok.line, tok.col)
-                if tokens[pos].value == ")":
-                    pos += 1
-                    return _Node(items, tok.line, tok.col)
-                items.append(read())
-        if tok.value == ")":
-            raise ParseError("unexpected ')'", filename, tok.line, tok.col)
-        return tok
-
-    node = read()
+            open_lists.append((tok, []))
+        elif tok.value == ")":
+            opener, items = open_lists.pop()
+            node = _Node(items, opener.line, opener.col)
+            if not open_lists:
+                break
+            open_lists[-1][1].append(node)
+        else:
+            open_lists[-1][1].append(tok)
     if pos != len(tokens):
         extra = tokens[pos]
         raise ParseError("trailing content after top-level form", filename, extra.line, extra.col)
-    if not isinstance(node, _Node):
-        raise ParseError("expected a parenthesized form", filename, node.line, node.col)
     return node
 
 

@@ -2,8 +2,13 @@
 
 A partial plan is a set of steps, ordering constraints, causal links, open
 conditions, and threats. Plans are persistent values: ``apply`` returns a new
-plan and never mutates its input. The ordering closure is kept as one "comes
-after" bitmask per step and updated incrementally on edge insertion.
+plan and never mutates its input; children share every container they do not
+change. The ordering closure, one "comes after" bitmask per step updated
+incrementally on edge insertion, is the only ordering structure: the
+linearizations and the schedule read their edges from it, which is sound
+because the closure has the same reachability as the inserted edges. Two
+fact -> step bitmasks (which steps add, which delete each fact) turn the reuse
+and threat tests into mask operations against the closure.
 
 Step 0 is the initial dummy (adds the initial state), step 1 the goal dummy
 (whose preconditions are the goal); real steps are numbered from 2.
@@ -11,7 +16,6 @@ Step 0 is the initial dummy (adds the initial state), step 1 the goal dummy
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from random import Random
 from typing import NamedTuple, Optional, Union
@@ -59,8 +63,10 @@ class Resolver:
 @dataclass
 class PartialPlan:
     steps: dict[int, GroundAction]
-    orderings: frozenset[tuple[int, int]]
-    after: dict[int, int]                     # step -> bitmask of steps strictly after it
+    after: dict[int, int]                     # step -> bitmask of steps strictly after it;
+                                              # the transitive closure, the one ordering record
+    producers: dict[int, int]                 # fact -> bitmask of steps adding it
+    deleters: dict[int, int]                  # fact -> bitmask of steps deleting it
     links: frozenset[CausalLink]
     open_conds: frozenset[OpenCondition]
     threats: tuple[Threat, ...]               # in introduction order, oldest first
@@ -102,30 +108,34 @@ def _threat_live(after: dict[int, int], threat: Threat) -> bool:
     return not ((after[t] >> p) & 1) and not ((after[c] >> t) & 1)
 
 
-def _threats_on_link(plan_steps: dict[int, GroundAction], after: dict[int, int],
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _threats_on_link(after: dict[int, int], deleters: dict[int, int],
                      link: CausalLink) -> list[Threat]:
-    found = []
-    for sid, act in plan_steps.items():
-        if sid == link.producer or sid == link.consumer:
-            continue
-        if link.fact in act.delete:
-            th = Threat(sid, link)
-            if _threat_live(after, th):
-                found.append(th)
-    return found
+    """Live threats on ``link``, ascending by threatening step."""
+    p, q, c = link
+    candidates = deleters.get(q, 0) & ~((1 << p) | (1 << c) | after[c])
+    return [Threat(t, link) for t in _bits(candidates) if not (after[t] >> p) & 1]
 
 
 def _threats_by_step(after: dict[int, int], sid: int, act: GroundAction,
                      links: frozenset[CausalLink]) -> list[Threat]:
-    found = []
-    for link in links:
-        if sid == link.producer or sid == link.consumer:
-            continue
-        if link.fact in act.delete:
-            th = Threat(sid, link)
-            if _threat_live(after, th):
-                found.append(th)
-    return found
+    """Live threats a freshly added step poses to existing links.
+
+    Only a0 precedes a fresh step and a0 is never a consumer, so a threat is
+    live unless the link's producer already comes after the step.
+    """
+    if not act.delete:
+        return []
+    reach = after[sid]
+    return [Threat(sid, link) for link in links
+            if link.fact in act.delete and not (reach >> link.producer) & 1]
 
 
 def _threat_sort_key(th: Threat) -> tuple[int, int, int, int]:
@@ -144,8 +154,9 @@ def null_plan(task: GroundTask) -> PartialPlan:
     """The empty plan: the two dummies, a0 ≺ a_inf, one open condition per goal."""
     return PartialPlan(
         steps={INIT_STEP: init_action(task), GOAL_STEP: goal_action(task)},
-        orderings=frozenset({(INIT_STEP, GOAL_STEP)}),
         after={INIT_STEP: 1 << GOAL_STEP, GOAL_STEP: 0},
+        producers=dict.fromkeys(task.init, 1 << INIT_STEP),
+        deleters={},
         links=frozenset(),
         open_conds=frozenset(OpenCondition(g, GOAL_STEP) for g in task.goal),
         threats=(),
@@ -181,9 +192,8 @@ def resolvers(plan: PartialPlan, flaw: Flaw, task: GroundTask,
         return out
 
     q, c = flaw
-    for sid in sorted(plan.steps):
-        if q in plan.steps[sid].add and plan.can_order(sid, c):
-            out.append(Resolver("reuse", fact=q, consumer=c, producer=sid))
+    for sid in _bits(plan.producers.get(q, 0) & ~((1 << c) | plan.after[c])):
+        out.append(Resolver("reuse", fact=q, consumer=c, producer=sid))
     copies: dict[int, int] = {}
     if max_copies is not None:
         for act in plan.steps.values():
@@ -206,8 +216,9 @@ def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPla
             return None
         return PartialPlan(
             steps=plan.steps,
-            orderings=plan.orderings | {(x, y)},
             after=after,
+            producers=plan.producers,
+            deleters=plan.deleters,
             links=plan.links,
             open_conds=plan.open_conds,
             threats=tuple(th for th in plan.threats if _threat_live(after, th)),
@@ -221,97 +232,90 @@ def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPla
             return None
         link = CausalLink(p, q, c)
         threats = [th for th in plan.threats if _threat_live(after, th)]
-        threats += sorted(_threats_on_link(plan.steps, after, link), key=_threat_sort_key)
+        threats += _threats_on_link(after, plan.deleters, link)
         return PartialPlan(
             steps=plan.steps,
-            orderings=plan.orderings | {(p, c)},
             after=after,
+            producers=plan.producers,
+            deleters=plan.deleters,
             links=plan.links | {link},
             open_conds=plan.open_conds - {OpenCondition(q, c)},
             threats=tuple(threats),
             newest_step=plan.newest_step,
         )
 
+    # A fresh step sits after a0 and before a_inf and c: it cannot close a
+    # cycle, and it orders no pair of existing steps, so every old threat
+    # stays live.
     act = resolver.action
     sid = max(plan.steps) + 1
-    steps = {**plan.steps, sid: act}
-    after[sid] = 0
-    for x, y in ((INIT_STEP, sid), (sid, GOAL_STEP), (sid, c)):
-        if not _add_edge(after, x, y):
-            return None
+    bit = 1 << sid
+    after[sid] = (1 << GOAL_STEP) | (1 << c) | after[c]
+    after[INIT_STEP] |= bit
+    producers = dict(plan.producers)
+    for f in act.add:
+        producers[f] = producers.get(f, 0) | bit
+    deleters = plan.deleters
+    if act.delete:
+        deleters = dict(deleters)
+        for f in act.delete:
+            deleters[f] = deleters.get(f, 0) | bit
     link = CausalLink(sid, q, c)
-    links = plan.links | {link}
-    threats = [th for th in plan.threats if _threat_live(after, th)]
     fresh = _threats_by_step(after, sid, act, plan.links)
-    fresh += _threats_on_link(plan.steps, after, link)
-    threats += sorted(fresh, key=_threat_sort_key)
+    fresh += _threats_on_link(after, deleters, link)
+    fresh.sort(key=_threat_sort_key)
     return PartialPlan(
-        steps=steps,
-        orderings=plan.orderings | {(INIT_STEP, sid), (sid, GOAL_STEP), (sid, c)},
+        steps={**plan.steps, sid: act},
         after=after,
-        links=links,
+        producers=producers,
+        deleters=deleters,
+        links=plan.links | {link},
         open_conds=(plan.open_conds - {OpenCondition(q, c)})
         | {OpenCondition(f, sid) for f in act.pre},
-        threats=tuple(threats),
+        threats=plan.threats + tuple(fresh),
         newest_step=sid,
     )
 
 
 # ── Linearization, scheduling, validation ────────────────────────────────────
 
-def _successors(plan: PartialPlan) -> dict[int, list[int]]:
-    succ: dict[int, list[int]] = {sid: [] for sid in plan.steps}
-    for a, b in plan.orderings:
-        succ[a].append(b)
-    return succ
-
-
-def linearize(plan: PartialPlan) -> list[int]:
-    """Deterministic topological order of all steps, a0 first, a_inf last."""
-    succ = _successors(plan)
-    indeg = {sid: 0 for sid in plan.steps}
-    for a, b in plan.orderings:
-        indeg[b] += 1
-    ready = [sid for sid, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        sid = heapq.heappop(ready)
-        order.append(sid)
-        for nxt in succ[sid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    return order
-
-
-def random_linearization(plan: PartialPlan, rng: Random) -> list[int]:
-    """A uniformly arbitrary topological order (for validation sampling)."""
-    succ = _successors(plan)
-    indeg = {sid: 0 for sid in plan.steps}
-    for a, b in plan.orderings:
-        indeg[b] += 1
+def _topological(plan: PartialPlan, pick) -> list[int]:
+    """Kahn's algorithm over the closure; ``pick(ready)`` is the index of the
+    ready step to emit next. Newly ready steps join ``ready`` ascending."""
+    indeg = dict.fromkeys(plan.steps, 0)
+    for mask in plan.after.values():
+        for sid in _bits(mask):
+            indeg[sid] += 1
     ready = sorted(sid for sid, d in indeg.items() if d == 0)
     order: list[int] = []
     while ready:
-        sid = ready.pop(rng.randrange(len(ready)))
+        sid = ready.pop(pick(ready))
         order.append(sid)
-        for nxt in sorted(succ[sid]):
+        for nxt in _bits(plan.after[sid]):
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
                 ready.append(nxt)
     return order
 
 
+def linearize(plan: PartialPlan) -> list[int]:
+    """Deterministic topological order of all steps, a0 first, a_inf last:
+    always the smallest ready step id."""
+    return _topological(plan, lambda ready: ready.index(min(ready)))
+
+
+def random_linearization(plan: PartialPlan, rng: Random) -> list[int]:
+    """A uniformly arbitrary topological order (for validation sampling)."""
+    return _topological(plan, lambda ready: rng.randrange(len(ready)))
+
+
 def earliest_slots(plan: PartialPlan) -> dict[int, int]:
     """Earliest-start slot (0-based) for each real step under unit durations."""
-    level = {sid: 0 for sid in plan.steps}
-    pred: dict[int, list[int]] = {sid: [] for sid in plan.steps}
-    for a, b in plan.orderings:
-        pred[b].append(a)
+    level = dict.fromkeys(plan.steps, 0)
     for sid in linearize(plan):
-        if pred[sid]:
-            level[sid] = max(level[p] for p in pred[sid]) + 1
+        for nxt in _bits(plan.after[sid]):
+            if level[nxt] <= level[sid]:
+                level[nxt] = level[sid] + 1
     return {sid: level[sid] - 1 for sid in plan.steps if sid not in (INIT_STEP, GOAL_STEP)}
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from poclkit import cli
 from poclkit.grounding import ground
 from poclkit.pddl import (ParseError, PddlError, UndeclaredNameError,
                           UnsupportedRequirementError, domain_to_pddl, load_domain,
@@ -44,6 +45,24 @@ def test_syntax_error_carries_position():
         parse_domain("(define (domain broken)\n  (:predicates (p))\n  (:action")
     assert err.value.line >= 1
     assert ":" in str(err.value)
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_domain("(" * 5000)
+    assert (err.value.line, err.value.col) == (1, 5000)
+    assert "missing closing parenthesis" in str(err.value)
+    with pytest.raises(ParseError):
+        parse_problem("(" * 5000 + ")" * 5000)
+
+
+def test_cli_deep_nesting_exits_with_input_error(tmp_path, capsys):
+    domain = tmp_path / "deep.pddl"
+    domain.write_text("(" * 5000)
+    code = cli.main(["solve", str(domain), fixture_path("gripper-1.pddl")])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "missing closing parenthesis" in err and "Traceback" not in err
 
 
 def test_negative_precondition_rejected():

@@ -1,0 +1,125 @@
+"""Property tests for the bitmask plan core.
+
+Random refinements of small random tasks are checked against brute-force
+scans over ``plan.steps`` and ``plan.links`` and against an ordering edge set
+the test keeps itself, so the closure and the fact -> step masks are never
+trusted to check themselves.
+"""
+
+from __future__ import annotations
+
+from random import Random
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from poclkit.heuristics import build_tables, eval_add
+from poclkit.plans import (GOAL_STEP, INIT_STEP, OpenCondition, apply_resolver, collect_flaws,
+                           is_solution, linearize, null_plan, random_linearization, resolvers,
+                           step_sequence, validate)
+
+from conftest import random_task
+
+
+def _reach(steps, edges) -> dict[int, set[int]]:
+    """Steps strictly after each step, by depth-first search over ``edges``."""
+    succ = {sid: [b for a, b in edges if a == sid] for sid in steps}
+    out = {}
+    for sid in steps:
+        seen, stack = set(), list(succ[sid])
+        while stack:
+            n = stack.pop()
+            if n not in seen:
+                seen.add(n)
+                stack.extend(succ[n])
+        out[sid] = seen
+    return out
+
+
+def _reusers(plan, reach, fact, consumer) -> list[int]:
+    return [sid for sid in sorted(plan.steps)
+            if sid != consumer and fact in plan.steps[sid].add and sid not in reach[consumer]]
+
+
+def _threats(plan, reach) -> set:
+    return {(t, link) for link in plan.links for t, act in plan.steps.items()
+            if t not in (link.producer, link.consumer) and link.fact in act.delete
+            and link.producer not in reach[t] and t not in reach[link.consumer]}
+
+
+def _snapshot(plan):
+    return (dict(plan.steps), dict(plan.after), dict(plan.producers), dict(plan.deleters),
+            plan.links, plan.open_conds, plan.threats, plan.newest_step)
+
+
+def _check_plan(task, tables, plan, edges):
+    reach = _reach(plan.steps, edges)
+    assert plan.after == {sid: sum(1 << n for n in after) for sid, after in reach.items()}
+    facts = range(len(task.facts))
+    assert {f: m for f in facts
+            if (m := sum(1 << s for s, a in plan.steps.items() if f in a.add))} \
+        == {f: m for f, m in plan.producers.items() if m}
+    assert {f: m for f in facts
+            if (m := sum(1 << s for s, a in plan.steps.items() if f in a.delete))} \
+        == {f: m for f, m in plan.deleters.items() if m}
+
+    assert set(plan.threats) == _threats(plan, reach)
+    assert len(set(plan.threats)) == len(plan.threats)
+
+    expected_add_r = 0.0
+    for fact, consumer in plan.open_conds:
+        reuse = [r.producer for r in resolvers(plan, OpenCondition(fact, consumer), task)
+                 if r.kind == "reuse"]
+        assert reuse == _reusers(plan, reach, fact, consumer)
+        if not reuse:
+            expected_add_r += tables.plain.fact_cost[fact]
+    assert eval_add(plan, tables.plain, reuse=True) == expected_add_r
+
+    order, done = linearize(plan), set()
+    assert sorted(order) == sorted(plan.steps)
+    for sid in order:
+        ready = [s for s in plan.steps if s not in done
+                 and all(b != s or a in done for a, b in edges)]
+        assert sid == min(ready)
+        done.add(sid)
+
+
+def _new_edges(child, resolver) -> list[tuple[int, int]]:
+    if resolver.kind in ("promotion", "demotion"):
+        return [resolver.ordering]
+    if resolver.kind == "reuse":
+        return [(resolver.producer, resolver.consumer)]
+    sid = child.newest_step
+    return [(INIT_STEP, sid), (sid, GOAL_STEP), (sid, resolver.consumer)]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), max_facts=st.integers(3, 12), depth=st.integers(0, 30))
+def test_random_refinements_match_brute_force(seed, max_facts, depth):
+    rng = Random(seed)
+    task = random_task(rng, max_facts=max_facts)
+    tables = build_tables(task)
+    plan, edges = null_plan(task), {(INIT_STEP, GOAL_STEP)}
+    path = [(plan, _snapshot(plan))]
+    for _ in range(depth):
+        _check_plan(task, tables, plan, edges)
+        flaws = collect_flaws(plan)
+        if not flaws:
+            break
+        options = resolvers(plan, rng.choice(flaws), task)
+        if not options:
+            break
+        children = [apply_resolver(plan, r) for r in options]
+        assert _snapshot(plan) == path[-1][1]
+        i = rng.randrange(len(options))
+        if children[i] is None:
+            break
+        edges = edges | set(_new_edges(children[i], options[i]))
+        plan = children[i]
+        path.append((plan, _snapshot(plan)))
+    _check_plan(task, tables, plan, edges)
+    # refining a descendant never reaches back into an ancestor's containers
+    assert all(_snapshot(p) == snap for p, snap in path)
+    if is_solution(plan):
+        for _ in range(3):
+            assert validate(task, step_sequence(plan, random_linearization(plan, rng)))

@@ -116,7 +116,7 @@ def test_threat_with_both_orderings_consistent():
     assert sorted(r.kind for r in res) == ["demotion", "promotion"]
     children = [apply_resolver(plan, r) for r in res]
     assert all(c is not None for c in children)
-    assert children[0].orderings != children[1].orderings
+    assert children[0].after != children[1].after
 
 
 def test_gripper_new_step_resolvers_for_goal(gripper2):

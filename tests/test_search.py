@@ -141,7 +141,7 @@ def test_expand_threat_children_differ_in_orderings():
     children = expand(plan, task, "mc-loc", tables)
     assert len(children) == 2
     assert children[0].steps == children[1].steps
-    assert children[0].orderings != children[1].orderings
+    assert children[0].after != children[1].after
 
 
 # ── best_child ───────────────────────────────────────────────────────────────
