@@ -13,7 +13,7 @@ from .plans import (CausalLink, OpenCondition, PartialPlan, Resolver, Threat, ap
                     resolvers, validate)
 from .search import (EnhancedEvaluator, FeatureEvaluator, ModelEvaluator, SearchLimits,
                      SearchResult, best_child, expand, gbfs, select_flaw)
-from .tuning import (ErrorTracker, TraceRow, enhance, geometric_enhance, read_trace,
-                     replay_telescoping, step_error, write_trace)
+from .tuning import (ErrorTracker, TraceRow, read_trace, replay_telescoping, step_error,
+                     write_trace)
 
 __version__ = "0.1.0"

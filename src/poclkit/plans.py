@@ -45,8 +45,7 @@ class Threat(NamedTuple):
 Flaw = Union[OpenCondition, Threat]
 
 
-@dataclass(frozen=True)
-class Resolver:
+class Resolver(NamedTuple):
     """One way to remove a flaw. ``new-step`` resolvers cost 1, others 0."""
     kind: str  # "reuse" | "new-step" | "promotion" | "demotion"
     fact: Optional[int] = None
@@ -60,7 +59,7 @@ class Resolver:
         return 1 if self.kind == "new-step" else 0
 
 
-@dataclass
+@dataclass(slots=True)
 class PartialPlan:
     steps: dict[int, GroundAction]
     after: dict[int, int]                     # step -> bitmask of steps strictly after it;
@@ -194,11 +193,13 @@ def resolvers(plan: PartialPlan, flaw: Flaw, task: GroundTask,
     q, c = flaw
     for sid in _bits(plan.producers.get(q, 0) & ~((1 << c) | plan.after[c])):
         out.append(Resolver("reuse", fact=q, consumer=c, producer=sid))
+    # Only copies of q's adders are compared with the bound, and every step
+    # holding one adds q: the producers of q other than a0 are the steps to count.
     copies: dict[int, int] = {}
     if max_copies is not None:
-        for act in plan.steps.values():
-            if act.id >= 0:
-                copies[act.id] = copies.get(act.id, 0) + 1
+        for sid in _bits(plan.producers.get(q, 0) & ~(1 << INIT_STEP)):
+            aid = plan.steps[sid].id
+            copies[aid] = copies.get(aid, 0) + 1
     for aid in task.adders[q]:
         if max_copies is not None and copies.get(aid, 0) >= max_copies:
             continue

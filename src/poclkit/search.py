@@ -28,7 +28,7 @@ STRATEGIES = ("mc-loc", "mw-loc")
 
 @dataclass
 class SearchLimits:
-    max_generated: int = 1_000_000
+    max_generated: int = 1_000_000    # memory grows with the open list, not this count
     wall_time: float = 900.0
 
 
@@ -124,15 +124,20 @@ def expand(plan: PartialPlan, task: GroundTask, strategy, tables: CostTables,
     return children
 
 
-def best_child(children: list[PartialPlan], evaluator) -> PartialPlan:
+def _best_index(ranks: list[float], children: list[PartialPlan]) -> int:
     """Argmin by rank; ties by fewer actions, then by insertion order."""
     best_i = 0
-    best_key = (evaluator.rank(children[0]), children[0].action_count)
-    for i, child in enumerate(children[1:], start=1):
-        key = (evaluator.rank(child), child.action_count)
+    best_key = (ranks[0], children[0].action_count)
+    for i in range(1, len(children)):
+        key = (ranks[i], children[i].action_count)
         if key < best_key:
             best_i, best_key = i, key
-    return children[best_i]
+    return best_i
+
+
+def best_child(children: list[PartialPlan], evaluator) -> PartialPlan:
+    """The child with the least ``evaluator.rank``, ties as in :func:`gbfs`."""
+    return children[_best_index([evaluator.rank(ch) for ch in children], children)]
 
 
 def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
@@ -145,6 +150,12 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
     Queue order is (rank, action count, FIFO). If the evaluator carries an
     error tracker, each expansion observes the parent/best-child step error
     before the children are enqueued with enhanced ranks.
+
+    The open list holds the only reference to a queued plan, so a visited
+    plan is freed once its children are queued and memory grows with the
+    open list, not with every generated node. ``collect_generated`` keeps
+    every generated plan alive on purpose. Node ids (trace rows,
+    ``solution_node_id``) number plans in generation order, the root 0.
     """
     if limits is None:
         limits = SearchLimits()
@@ -156,15 +167,16 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
     start = time.monotonic()
     plan0 = root if root is not None else null_plan(task)
     h0 = raw_rank(plan0)
-    nodes: list[tuple[PartialPlan, float]] = [(plan0, h0)]
     trace: list[TraceRow] = []
     if record_trace:
         trace.append(TraceRow(0, -1, h0, plan0.action_count))
     generated = 1
     visited = 0
-    seq = 0
+    seq = 0    # id of the newest generated node; unique, so entries never compare plans
     rank0 = tracker.enhance(h0) if tracker is not None else h0
-    heap: list[tuple[float, int, int, int]] = [(rank0, plan0.action_count, seq, 0)]
+    # (rank, action count, node id, plan, raw rank)
+    heap: list[tuple[float, int, int, PartialPlan, float]] = \
+        [(rank0, plan0.action_count, seq, plan0, h0)]
     generated_plans: list[PartialPlan] = []
 
     def finish(outcome: str, plan: Optional[PartialPlan] = None,
@@ -181,8 +193,7 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
     while heap:
         if time.monotonic() - start > limits.wall_time:
             return finish("limit-hit")
-        _, _, _, node_id = heapq.heappop(heap)
-        plan, h_parent = nodes[node_id]
+        _, _, node_id, plan, h_parent = heapq.heappop(heap)
         visited += 1
         if is_solution(plan):
             return finish("solved", plan, node_id)
@@ -193,13 +204,7 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
         if not children:
             continue
         raws = [raw_rank(ch) for ch in children]
-
-        best_i = 0
-        best_key = (raws[0], children[0].action_count)
-        for i in range(1, len(children)):
-            key = (raws[i], children[i].action_count)
-            if key < best_key:
-                best_i, best_key = i, key
+        best_i = _best_index(raws, children)
 
         if tracker is not None:
             cost = children[best_i].action_count - plan.action_count
@@ -214,14 +219,12 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
             if generated >= limits.max_generated:
                 return finish("limit-hit")
             generated += 1
-            child_id = len(nodes)
-            nodes.append((child, raws[i]))
+            seq += 1
             if record_trace:
-                trace.append(TraceRow(child_id, node_id, raws[i], child.action_count,
+                trace.append(TraceRow(seq, node_id, raws[i], child.action_count,
                                       i == best_i))
             if collect_generated:
                 generated_plans.append(child)
-            seq += 1
-            heapq.heappush(heap, (ranks[i], child.action_count, seq, child_id))
+            heapq.heappush(heap, (ranks[i], child.action_count, seq, child, raws[i]))
 
     return finish("exhausted")

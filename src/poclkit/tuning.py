@@ -77,14 +77,6 @@ class ErrorTracker:
         return (s2 * s0 - s1 * s1) / denom
 
 
-def enhance(tracker: ErrorTracker, h: float) -> float:
-    return tracker.enhance(h)
-
-
-def geometric_enhance(tracker: ErrorTracker, h: float, terms: int) -> float:
-    return tracker.geometric_enhance(h, terms)
-
-
 # ── Search traces and the telescoping identity ───────────────────────────────
 
 @dataclass

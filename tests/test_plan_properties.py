@@ -14,9 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from poclkit.heuristics import build_tables, eval_add
-from poclkit.plans import (GOAL_STEP, INIT_STEP, OpenCondition, apply_resolver, collect_flaws,
-                           is_solution, linearize, null_plan, random_linearization, resolvers,
-                           step_sequence, validate)
+from poclkit.plans import (GOAL_STEP, INIT_STEP, OpenCondition, Resolver, apply_resolver,
+                           collect_flaws, is_solution, linearize, null_plan,
+                           random_linearization, resolvers, step_sequence, validate)
 
 from conftest import random_task
 
@@ -123,3 +123,47 @@ def test_random_refinements_match_brute_force(seed, max_facts, depth):
     if is_solution(plan):
         for _ in range(3):
             assert validate(task, step_sequence(plan, random_linearization(plan, rng)))
+
+
+def _new_step_actions(plan, task, fact, max_copies) -> list[int]:
+    """Adders of ``fact`` below the copy bound, counting copies over all steps."""
+    copies = [act.id for act in plan.steps.values()]
+    return [aid for aid in task.adders[fact]
+            if max_copies is None or copies.count(aid) < max_copies]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), max_facts=st.integers(3, 8), depth=st.integers(0, 30))
+def test_new_step_copy_bound_matches_brute_force(seed, max_facts, depth):
+    rng = Random(seed)
+    task = random_task(rng, max_facts=max_facts, max_actions=6)
+    plan = null_plan(task)
+    for _ in range(depth):
+        for oc in plan.open_conds:
+            for max_copies in (1, 2, None):
+                got = [r.action.id for r in resolvers(plan, oc, task, max_copies=max_copies)
+                       if r.kind == "new-step"]
+                assert got == _new_step_actions(plan, task, oc.fact, max_copies)
+        flaws = collect_flaws(plan)
+        if not flaws:
+            break
+        # no copy bound while refining, so plans reach many copies of an action
+        options = [c for r in resolvers(plan, rng.choice(flaws), task, max_copies=None)
+                   if (c := apply_resolver(plan, r)) is not None]
+        if not options:
+            break
+        plan = rng.choice(options)
+
+
+def test_resolver_record_interface(chain_task):
+    plan = null_plan(chain_task)
+    (flaw,) = plan.open_conds
+    act = chain_task.actions[chain_task.adders[flaw.fact][0]]
+    res = Resolver(kind="new-step", fact=flaw.fact, consumer=flaw.consumer, action=act)
+    assert res.kind == "new-step" and res.cost == 1
+    assert res.producer is None and res.ordering is None
+    assert Resolver("promotion", ordering=(2, 3)).cost == 0
+    assert res in resolvers(plan, flaw, chain_task)
+    child = apply_resolver(plan, res)
+    assert child.steps[child.newest_step] is act
+    assert OpenCondition(flaw.fact, flaw.consumer) not in child.open_conds

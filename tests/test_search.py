@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 from random import Random
 
 import pytest
 
 from poclkit.heuristics import build_tables
-from poclkit.plans import (GOAL_STEP, OpenCondition, Threat, apply_resolver, collect_flaws,
-                           is_solution, null_plan, random_linearization, resolvers,
-                           step_sequence, validate)
+from poclkit.plans import (GOAL_STEP, OpenCondition, PartialPlan, Threat, apply_resolver,
+                           collect_flaws, is_solution, null_plan, random_linearization,
+                           resolvers, step_sequence, validate)
 from poclkit.search import (FeatureEvaluator, SearchLimits, best_child, expand, gbfs,
                             select_flaw)
 
@@ -265,3 +266,39 @@ def test_solution_node_trace_path_consistent(gripper2, gripper2_tables):
         root = by_id[root.parent_id]
     assert root.action_count == 0
     assert depth_counts == result.plan_length
+
+
+def _live_plans() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is PartialPlan)
+
+
+def test_visited_plans_are_freed():
+    # Each generated plan is ranked once and each visited one reaches the flaw
+    # selector once, so the open list holds (rank calls - selector calls)
+    # plans; beyond those only the plan being expanded and the root may live.
+    task = load_fixture_task("gripper.pddl", "gripper-3.pddl")
+    tables = build_tables(task)
+
+    class CountingEvaluator(FeatureEvaluator):
+        calls = 0
+
+        def rank(self, plan):
+            self.calls += 1
+            return super().rank(plan)
+
+    evaluator = CountingEvaluator("h_add", tables)
+    before = _live_plans()
+    seen = {}
+
+    def probe(plan, tables_):
+        seen["visits"] = seen.get("visits", 0) + 1
+        if seen["visits"] == 1000:
+            seen["open"] = evaluator.calls - seen["visits"]
+            seen["live"] = _live_plans() - before
+        return select_flaw(plan, "mw-loc", tables_)
+
+    result = gbfs(task, evaluator, probe, SearchLimits(100_000, 60.0), tables)
+    assert result.solved and result.visited > 1000
+    assert seen["open"] > 100
+    assert seen["live"] <= seen["open"] + 2
