@@ -3,7 +3,7 @@ feature heuristics, offline heuristic learning, and online step-error tuning."""
 
 from .grounding import GroundAction, GroundTask, ground, load_task
 from .heuristics import (FEATURE_NAMES, CostTable, CostTables, FeatureVector, additive_costs,
-                         build_tables, eval_add, eval_g, eval_oc, feature_vector)
+                         build_tables, eval_add, feature_vector)
 from .learning import (Dataset, DatasetConfig, LinearModel, TrainingInstance,
                        correlation_select, fit_linear, generate_dataset, load_model,
                        predict, save_model)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .grounding import load_task
-from .heuristics import CostTables, build_tables
+from .heuristics import FEATURE_NAMES, CostTables, build_tables
 from .learning import load_model
 from .plans import format_plan
 from .search import (EnhancedEvaluator, FeatureEvaluator, ModelEvaluator, SearchLimits,
@@ -28,43 +28,56 @@ from .search import (EnhancedEvaluator, FeatureEvaluator, ModelEvaluator, Search
 
 log = logging.getLogger("poclkit.bench")
 
-EVALUATOR_SHORTHAND = {
-    "gval": "h_gval",
-    "oc": "h_oc",
-    "add": "h_add",
-    "add_w": "h_add_w",
-    "add_r": "h_add_r",
-    "add_w_r": "h_add_w_r",
-}
-
 REPORT_HEADER = ("problem", "evaluator", "solved", "plan_length", "makespan", "time_s",
                  "nodes_visited", "nodes_generated", "quality", "time_score",
                  "nodes_score", "makespan_score")
+
+
+def shorthand(feature: str) -> str:
+    """The evaluator spec naming a base feature: ``h_add`` -> ``add``."""
+    return feature.removeprefix("h_")
+
+
+def base_feature(spec: str) -> str:
+    """The base feature an evaluator spec names: ``add`` -> ``h_add``."""
+    name = "h_" + spec
+    if name not in FEATURE_NAMES:
+        raise ValueError(f"unknown evaluator spec {spec!r}")
+    return name
+
+
+def parse_model_spec(spec: str) -> Optional[tuple[str, bool]]:
+    """``(FILE, enhanced)`` for a ``model:FILE[:enhanced]`` spec, else None."""
+    if not spec.startswith("model:"):
+        return None
+    path = spec[len("model:"):]
+    if path.endswith(":enhanced"):
+        return path[: -len(":enhanced")], True
+    return path, False
 
 
 def build_evaluator(spec: str, tables: CostTables):
     """Evaluator from a spec string: a base feature shorthand or
     ``model:FILE`` / ``model:FILE:enhanced``. Fresh instance per call, so an
     enhanced evaluator's tracker is never shared between searches."""
-    if spec.startswith("model:"):
-        rest = spec[len("model:"):]
-        enhanced = False
-        if rest.endswith(":enhanced"):
-            enhanced = True
-            rest = rest[: -len(":enhanced")]
-        evaluator = ModelEvaluator(load_model(rest), tables)
-        return EnhancedEvaluator(evaluator) if enhanced else evaluator
-    if spec in EVALUATOR_SHORTHAND:
-        return FeatureEvaluator(EVALUATOR_SHORTHAND[spec], tables)
-    raise ValueError(f"unknown evaluator spec {spec!r}")
+    model = parse_model_spec(spec)
+    if model is None:
+        return FeatureEvaluator(base_feature(spec), tables)
+    path, enhanced = model
+    evaluator = ModelEvaluator(load_model(path), tables)
+    return EnhancedEvaluator(evaluator) if enhanced else evaluator
 
 
 # ── IPC-style scores ─────────────────────────────────────────────────────────
 
-def quality_score(cost: Optional[float], best_cost: float) -> float:
-    if cost is None:
+def ratio_score(value: Optional[float], best_value: float) -> float:
+    """``best/value`` for a solved row, 0 for an unsolved one (``None``)."""
+    if value is None:
         return 0.0
-    return best_cost / cost
+    return best_value / value
+
+
+quality_score = nodes_score = makespan_score = ratio_score
 
 
 def time_score(t_seconds: Optional[float], t_best: float) -> float:
@@ -73,18 +86,6 @@ def time_score(t_seconds: Optional[float], t_best: float) -> float:
     if t_seconds <= 1.0:
         return 1.0
     return 1.0 / (1.0 + math.log10(t_seconds / max(t_best, 1.0)))
-
-
-def nodes_score(value: Optional[float], best_value: float) -> float:
-    if value is None:
-        return 0.0
-    return best_value / value
-
-
-def makespan_score(value: Optional[float], best_value: float) -> float:
-    if value is None:
-        return 0.0
-    return best_value / value
 
 
 # ── Suite configuration ──────────────────────────────────────────────────────
@@ -103,8 +104,13 @@ class SuiteConfig:
     max_copies: Optional[int] = 2
 
 
+SUITE_KEYS = frozenset({"domain", "flaws", "max_nodes", "timeout", "out_dir", "seed",
+                        "workers", "max_copies"})
+
+
 def parse_suite_config(text: str, base_dir: str = ".") -> SuiteConfig:
-    """Parse ``key=value`` lines; ``problem`` and ``evaluator`` repeat."""
+    """Parse ``key=value`` lines; ``problem`` and ``evaluator`` repeat, and
+    any other key must be one of ``SUITE_KEYS``."""
     values: dict[str, str] = {}
     problems: list[str] = []
     evaluators: list[str] = []
@@ -119,15 +125,15 @@ def parse_suite_config(text: str, base_dir: str = ".") -> SuiteConfig:
         if key == "problem":
             problems.append(os.path.join(base_dir, value))
         elif key == "evaluator":
-            if value.startswith("model:"):   # model paths are config-relative
-                rest = value[len("model:"):]
-                suffix = ""
-                if rest.endswith(":enhanced"):
-                    rest, suffix = rest[: -len(":enhanced")], ":enhanced"
-                value = "model:" + os.path.join(base_dir, rest) + suffix
+            model = parse_model_spec(value)
+            if model is not None:   # model paths are config-relative
+                path, enhanced = model
+                value = "model:" + os.path.join(base_dir, path) + (":enhanced" if enhanced else "")
             evaluators.append(value)
-        else:
+        elif key in SUITE_KEYS:
             values[key] = value
+        else:
+            raise ValueError(f"suite config line {lineno}: unknown key {key!r}")
 
     if "domain" not in values:
         raise ValueError("suite config is missing domain=")
@@ -180,9 +186,6 @@ class ScoreReport:
     aggregates: dict[str, dict[str, float]]
     csv_path: str = ""
 
-    def coverage(self, evaluator: str) -> int:
-        return int(self.aggregates[evaluator]["coverage"])
-
 
 def _run_cell(args: tuple) -> CellResult:
     domain_path, problem_path, eval_spec, strategy, max_generated, wall_time, max_copies = args
@@ -221,10 +224,10 @@ def _score_rows(rows: list[CellResult]) -> None:
         best_makespan = max(1, min(r.makespan for r in solved))
         best_time = min(r.time_s for r in solved)
         for r in solved:
-            r.quality = quality_score(max(1, r.plan_length), best_length)
+            r.quality = ratio_score(max(1, r.plan_length), best_length)
             r.time_score = time_score(r.time_s, best_time)
-            r.nodes_score = nodes_score(max(1, r.visited), best_nodes)
-            r.makespan_score = makespan_score(max(1, r.makespan), best_makespan)
+            r.nodes_score = ratio_score(max(1, r.visited), best_nodes)
+            r.makespan_score = ratio_score(max(1, r.makespan), best_makespan)
 
 
 def _aggregate(rows: list[CellResult], evaluators: list[str]) -> dict[str, dict[str, float]]:

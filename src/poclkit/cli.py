@@ -15,7 +15,7 @@ import time
 
 from . import bench, learning
 from .grounding import load_task
-from .heuristics import build_tables
+from .heuristics import FEATURE_NAMES, build_tables
 from .pddl import PddlError
 from .plans import format_plan
 from .search import STRATEGIES, SearchLimits, gbfs
@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("domain")
     solve.add_argument("problem")
     solve.add_argument("--eval", dest="evaluator", default="add",
-                       help="gval|oc|add|add_w|add_r|add_w_r|model:FILE[:enhanced]")
+                       help="|".join(map(bench.shorthand, FEATURE_NAMES))
+                       + "|model:FILE[:enhanced]")
     solve.add_argument("--flaws", choices=STRATEGIES, default="mw-loc")
     solve.add_argument("--max-nodes", type=int, default=1_000_000)
     solve.add_argument("--timeout", type=float, default=900.0)
@@ -60,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dataset = learn_sub.add_parser("dataset", help="generate a training dataset CSV")
     dataset.add_argument("domain")
     dataset.add_argument("problems", nargs="+")
-    dataset.add_argument("--base", choices=["add", "add_w", "add_r", "add_w_r"],
+    dataset.add_argument("--base", choices=[bench.shorthand(f) for f in learning.BASE_FEATURES],
                          default="add")
     dataset.add_argument("--seeds-per-problem", type=int, default=10)
     dataset.add_argument("--seed", type=int, default=0)
@@ -103,7 +104,7 @@ def _cmd_learn_dataset(args: argparse.Namespace) -> int:
     tasks = [load_task(args.domain, p) for p in args.problems]
     config = learning.DatasetConfig(seeds_per_problem=args.seeds_per_problem,
                                     rng_seed=args.seed)
-    base = bench.EVALUATOR_SHORTHAND[args.base]
+    base = bench.base_feature(args.base)
     try:
         dataset = learning.generate_dataset(tasks, base, config)
     except learning.EmptyDatasetError as exc:

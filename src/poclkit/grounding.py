@@ -73,12 +73,11 @@ def _candidates(objects: tuple[TypedName, ...], ty: str, parents: dict[str, str]
     return [o.name for o in objects if _is_subtype(o.type, ty, parents)]
 
 
-def ground(domain: DomainAst, problem: ProblemAst, prune_unreachable: bool = False) -> GroundTask:
+def ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
     """Instantiate all type-consistent bindings of every schema and predicate.
 
-    Bindings violating an ``=`` constraint are pruned. With
-    ``prune_unreachable`` a delete-relaxed reachability pass additionally drops
-    facts and actions that can never be reached from the initial state.
+    Bindings violating an ``=`` constraint are pruned; unreachable facts and
+    actions are kept.
     """
     check_problem(domain, problem)
     parents = domain.type_parents()
@@ -134,49 +133,11 @@ def ground(domain: DomainAst, problem: ProblemAst, prune_unreachable: bool = Fal
     init = frozenset(resolve(a, {}, ":init") for a in problem.init)
     goal = frozenset(resolve(a, {}, ":goal") for a in problem.goal)
 
-    task = GroundTask(domain.name, problem.name, tuple(fact_names), tuple(actions),
+    return GroundTask(domain.name, problem.name, tuple(fact_names), tuple(actions),
                       init, goal, fact_ids)
-    if prune_unreachable:
-        task = _prune_unreachable(task)
-    return task
 
 
-def _prune_unreachable(task: GroundTask) -> GroundTask:
-    """Drop facts/actions outside the delete-relaxed reachable set."""
-    reachable = set(task.init)
-    used: list[GroundAction] = []
-    remaining = list(task.actions)
-    changed = True
-    while changed:
-        changed = False
-        rest = []
-        for act in remaining:
-            if act.pre <= reachable:
-                used.append(act)
-                if not act.add <= reachable:
-                    reachable |= act.add
-                    changed = True
-            else:
-                rest.append(act)
-        remaining = rest
-
-    keep_facts = sorted(reachable | task.goal)
-    remap = {old: new for new, old in enumerate(keep_facts)}
-    facts = tuple(task.facts[i] for i in keep_facts)
-    actions = tuple(
-        GroundAction(i, a.name,
-                     frozenset(remap[f] for f in a.pre),
-                     frozenset(remap[f] for f in a.add),
-                     frozenset(remap[f] for f in a.delete if f in remap))
-        for i, a in enumerate(sorted(used, key=lambda a: a.id)))
-    return GroundTask(task.domain_name, task.problem_name, facts, actions,
-                      frozenset(remap[f] for f in task.init),
-                      frozenset(remap[f] for f in task.goal),
-                      {name: i for i, name in enumerate(facts)})
-
-
-def load_task(domain_path: str, problem_path: str, prune_unreachable: bool = False) -> GroundTask:
+def load_task(domain_path: str, problem_path: str) -> GroundTask:
     from .pddl import load_domain, load_problem
 
-    return ground(load_domain(domain_path), load_problem(problem_path),
-                  prune_unreachable=prune_unreachable)
+    return ground(load_domain(domain_path), load_problem(problem_path))

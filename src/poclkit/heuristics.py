@@ -17,8 +17,6 @@ from .plans import PartialPlan
 
 INF = math.inf
 
-FEATURE_NAMES = ("h_gval", "h_oc", "h_add", "h_add_w", "h_add_r", "h_add_w_r")
-
 
 class FeatureVector(NamedTuple):
     h_gval: float
@@ -27,6 +25,9 @@ class FeatureVector(NamedTuple):
     h_add_w: float
     h_add_r: float
     h_add_w_r: float
+
+
+FEATURE_NAMES = FeatureVector._fields
 
 
 @dataclass(frozen=True)
@@ -80,16 +81,6 @@ def build_tables(task: GroundTask) -> CostTables:
     return CostTables(additive_costs(task, "plain"), additive_costs(task, "effort"))
 
 
-def eval_g(plan: PartialPlan) -> float:
-    """Number of real actions in the plan (dummies excluded)."""
-    return float(plan.action_count)
-
-
-def eval_oc(plan: PartialPlan) -> float:
-    """Number of open conditions (unsupported preconditions)."""
-    return float(len(plan.open_conds))
-
-
 def eval_add(plan: PartialPlan, table: CostTable, reuse: bool = False) -> float:
     """Sum of table costs over open conditions; with ``reuse`` a condition an
     existing step can consistently supply contributes 0.
@@ -110,7 +101,8 @@ def eval_add(plan: PartialPlan, table: CostTable, reuse: bool = False) -> float:
 
 
 def feature_vector(plan: PartialPlan, tables: CostTables) -> FeatureVector:
-    """All six features, in the fixed (g, oc, add, add_w, add_r, add_w_r) order.
+    """All six features, in the fixed (g, oc, add, add_w, add_r, add_w_r) order:
+    the real-action count, the open-condition count and the four sums.
 
     One pass over the open conditions; the reusability test (as in
     ``eval_add``) is shared by the two discounted sums.
@@ -125,15 +117,18 @@ def feature_vector(plan: PartialPlan, tables: CostTables) -> FeatureVector:
         if not producers.get(fact, 0) & ~((1 << consumer) | after[consumer]):
             add_r += plain
             add_w_r += effort
-    return FeatureVector(eval_g(plan), eval_oc(plan), add, add_w, add_r, add_w_r)
+    return FeatureVector(float(plan.action_count), float(len(plan.open_conds)),
+                         add, add_w, add_r, add_w_r)
 
 
 def feature_value(name: str, plan: PartialPlan, tables: CostTables) -> float:
-    """One named feature, cheaper than assembling the full vector."""
+    """One named feature, equal to ``feature_vector(plan, tables)`` at that
+    name. Kept beside the vector because one sum costs about a third of the
+    whole vector, and a single-feature evaluator needs only the one."""
     if name == "h_gval":
-        return eval_g(plan)
+        return float(plan.action_count)
     if name == "h_oc":
-        return eval_oc(plan)
+        return float(len(plan.open_conds))
     if name == "h_add":
         return eval_add(plan, tables.plain, reuse=False)
     if name == "h_add_w":

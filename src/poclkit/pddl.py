@@ -8,7 +8,7 @@ grounding. Errors carry ``file:line:col`` positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SUPPORTED_REQUIREMENTS = frozenset({":strips", ":typing", ":equality"})
 ROOT_TYPE = "object"
@@ -190,6 +190,13 @@ def _expect_word(node, what: str, filename: str) -> _Token:
     return node
 
 
+def _word_at(node: _Node, i: int, what: str, filename: str) -> _Token:
+    """``node.items[i]`` as a word; a missing item is an error at ``node``."""
+    if i >= len(node.items):
+        raise ParseError(f"expected {what}", filename, node.line, node.col)
+    return _expect_word(node.items[i], what, filename)
+
+
 def _parse_typed_list(items: list, filename: str) -> tuple[TypedName, ...]:
     """Parse ``n1 n2 - type n3 ...``; names without a type get ``object``."""
     out: list[TypedName] = []
@@ -236,16 +243,52 @@ def _conjunction(node: _Node, filename: str) -> list[_Node]:
     return [node]
 
 
+def _parse_eq(node: _Node, equal: bool, filename: str) -> EqConstraint:
+    atom = _parse_atom(node, filename)
+    if len(atom.args) != 2:
+        raise ParseError("(= ...) takes two arguments", filename, node.line, node.col)
+    return EqConstraint(atom.args[0], atom.args[1], equal)
+
+
 # ── Domain / problem parsing ─────────────────────────────────────────────────
 
-@dataclass
-class _PredTable:
-    arity: dict[str, int] = field(default_factory=dict)
+def _read_define(text: str, filename: str, kind: str):
+    """Read ``(define (KIND NAME) SECTION...)``: the name, the root form and
+    ``(keyword, section)`` pairs, checked one at a time as they are taken."""
+    root = _read_sexpr(_tokenize(text, filename), filename)
+    items = root.items
+    if len(items) < 2 or not (isinstance(items[0], _Token) and items[0].value == "define"):
+        raise ParseError(f"expected (define ({kind} ...) ...)", filename, root.line, root.col)
+    head = items[1]
+    if not (isinstance(head, _Node) and len(head.items) == 2
+            and _expect_word(head.items[0], f"'{kind}'", filename).value == kind):
+        raise ParseError(f"expected ({kind} NAME)", filename, root.line, root.col)
+    name = _expect_word(head.items[1], f"a {kind} name", filename).value
+
+    def sections():
+        for section in items[2:]:
+            if not isinstance(section, _Node) or not section.items:
+                raise ParseError(f"expected a {kind} section", filename,
+                                 section.line, section.col)
+            yield _expect_word(section.items[0], "a section keyword", filename), section
+
+    return name, root, sections()
 
 
-def _parse_action(node: _Node, preds: _PredTable, filename: str) -> ActionSchema:
+def _requirements(section: _Node, filename: str) -> tuple[str, ...]:
+    reqs = []
+    for r in section.items[1:]:
+        tok = _expect_word(r, "a requirement", filename)
+        if tok.value not in SUPPORTED_REQUIREMENTS:
+            raise UnsupportedRequirementError(tok.value, filename=filename,
+                                              line=tok.line, col=tok.col)
+        reqs.append(tok.value)
+    return tuple(reqs)
+
+
+def _parse_action(node: _Node, arity: dict[str, int], filename: str) -> ActionSchema:
     items = node.items
-    name = _expect_word(items[1], "an action name", filename).value
+    name = _word_at(node, 1, "an action name", filename).value
     sections: dict[str, object] = {}
     i = 2
     while i < len(items):
@@ -267,11 +310,11 @@ def _parse_action(node: _Node, preds: _PredTable, filename: str) -> ActionSchema
         seen.add(p.name)
 
     def check_atom(atom: Atom, where: _Node):
-        if atom.pred not in preds.arity:
+        if atom.pred not in arity:
             raise UndeclaredNameError(f"undeclared predicate {atom.pred}",
                                       filename, where.line, where.col)
-        if len(atom.args) != preds.arity[atom.pred]:
-            raise ParseError(f"predicate {atom.pred} expects {preds.arity[atom.pred]} arguments",
+        if len(atom.args) != arity[atom.pred]:
+            raise ParseError(f"predicate {atom.pred} expects {arity[atom.pred]} arguments",
                              filename, where.line, where.col)
         for arg in atom.args:
             if arg.startswith("?") and arg not in seen:
@@ -287,14 +330,12 @@ def _parse_action(node: _Node, preds: _PredTable, filename: str) -> ActionSchema
             if head is None:
                 continue
             if head.value == "=":
-                a = _parse_atom(f, filename)
-                eqs.append(EqConstraint(a.args[0], a.args[1], True))
+                eqs.append(_parse_eq(f, True, filename))
             elif head.value == "not":
                 inner = f.items[1] if len(f.items) > 1 else None
                 if isinstance(inner, _Node) and inner.items and \
                         isinstance(inner.items[0], _Token) and inner.items[0].value == "=":
-                    a = _parse_atom(inner, filename)
-                    eqs.append(EqConstraint(a.args[0], a.args[1], False))
+                    eqs.append(_parse_eq(inner, False, filename))
                 else:
                     raise ParseError("negative preconditions are not supported (STRIPS)",
                                      filename, f.line, f.col)
@@ -328,36 +369,18 @@ def _parse_action(node: _Node, preds: _PredTable, filename: str) -> ActionSchema
 
 def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
     """Parse PDDL domain text into a :class:`DomainAst`."""
-    root = _read_sexpr(_tokenize(text, filename), filename)
-    items = root.items
-    if len(items) < 2 or not (isinstance(items[0], _Token) and items[0].value == "define"):
-        raise ParseError("expected (define (domain ...) ...)", filename, root.line, root.col)
-    head = items[1]
-    if not (isinstance(head, _Node) and len(head.items) == 2
-            and _expect_word(head.items[0], "'domain'", filename).value == "domain"):
-        raise ParseError("expected (domain NAME)", filename, root.line, root.col)
-    name = _expect_word(head.items[1], "a domain name", filename).value
+    name, _, sections = _read_define(text, filename, "domain")
 
     requirements: tuple[str, ...] = (":strips",)
     types: tuple[TypedName, ...] = ()
     constants: tuple[TypedName, ...] = ()
     predicates: list[tuple[str, tuple[TypedName, ...]]] = []
-    preds = _PredTable()
+    arity: dict[str, int] = {}
     schemas: list[ActionSchema] = []
 
-    for section in items[2:]:
-        if not isinstance(section, _Node) or not section.items:
-            raise ParseError("expected a domain section", filename, section.line, section.col)
-        key = _expect_word(section.items[0], "a section keyword", filename)
+    for key, section in sections:
         if key.value == ":requirements":
-            reqs = []
-            for r in section.items[1:]:
-                tok = _expect_word(r, "a requirement", filename)
-                if tok.value not in SUPPORTED_REQUIREMENTS:
-                    raise UnsupportedRequirementError(tok.value, filename=filename,
-                                                      line=tok.line, col=tok.col)
-                reqs.append(tok.value)
-            requirements = tuple(reqs)
+            requirements = _requirements(section, filename)
         elif key.value == ":types":
             types = _parse_typed_list(section.items[1:], filename)
         elif key.value == ":constants":
@@ -370,9 +393,9 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
                 pname = _expect_word(p.items[0], "a predicate name", filename).value
                 pparams = _parse_typed_list(p.items[1:], filename)
                 predicates.append((pname, pparams))
-                preds.arity[pname] = len(pparams)
+                arity[pname] = len(pparams)
         elif key.value == ":action":
-            schemas.append(_parse_action(section, preds, filename))
+            schemas.append(_parse_action(section, arity, filename))
         else:
             raise ParseError(f"unsupported domain section {key.value}",
                              filename, key.line, key.col)
@@ -382,27 +405,16 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
 
 def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
     """Parse PDDL problem text into a :class:`ProblemAst` (atom order preserved)."""
-    root = _read_sexpr(_tokenize(text, filename), filename)
-    items = root.items
-    if len(items) < 2 or not (isinstance(items[0], _Token) and items[0].value == "define"):
-        raise ParseError("expected (define (problem ...) ...)", filename, root.line, root.col)
-    head = items[1]
-    if not (isinstance(head, _Node) and len(head.items) == 2
-            and _expect_word(head.items[0], "'problem'", filename).value == "problem"):
-        raise ParseError("expected (problem NAME)", filename, root.line, root.col)
-    name = _expect_word(head.items[1], "a problem name", filename).value
+    name, root, sections = _read_define(text, filename, "problem")
 
     domain_name = ""
     objects: tuple[TypedName, ...] = ()
     init: list[Atom] = []
     goal: list[Atom] = []
 
-    for section in items[2:]:
-        if not isinstance(section, _Node) or not section.items:
-            raise ParseError("expected a problem section", filename, section.line, section.col)
-        key = _expect_word(section.items[0], "a section keyword", filename)
+    for key, section in sections:
         if key.value == ":domain":
-            domain_name = _expect_word(section.items[1], "a domain name", filename).value
+            domain_name = _word_at(section, 1, "a domain name", filename).value
         elif key.value == ":objects":
             objects = _parse_typed_list(section.items[1:], filename)
         elif key.value == ":init":
@@ -420,11 +432,7 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
                                          filename, f.line, f.col)
                     goal.append(a)
         elif key.value == ":requirements":
-            for r in section.items[1:]:
-                tok = _expect_word(r, "a requirement", filename)
-                if tok.value not in SUPPORTED_REQUIREMENTS:
-                    raise UnsupportedRequirementError(tok.value, filename=filename,
-                                                      line=tok.line, col=tok.col)
+            _requirements(section, filename)
         else:
             raise ParseError(f"unsupported problem section {key.value}",
                              filename, key.line, key.col)

@@ -320,10 +320,13 @@ def earliest_slots(plan: PartialPlan) -> dict[int, int]:
     return {sid: level[sid] - 1 for sid in plan.steps if sid not in (INIT_STEP, GOAL_STEP)}
 
 
+def _span(slots: dict[int, int]) -> int:
+    return max(slots.values()) + 1 if slots else 0
+
+
 def makespan(plan: PartialPlan) -> int:
     """Depth of the earliest-start parallel schedule, dummies excluded."""
-    slots = earliest_slots(plan)
-    return max(slots.values()) + 1 if slots else 0
+    return _span(earliest_slots(plan))
 
 
 def step_sequence(plan: PartialPlan, order: Optional[list[int]] = None) -> list[GroundAction]:
@@ -349,5 +352,5 @@ def format_plan(plan: PartialPlan) -> str:
     slots = earliest_slots(plan)
     lines = [f"{slots[sid]}: ({plan.steps[sid].name})"
              for sid in sorted(slots, key=lambda s: (slots[s], s))]
-    lines.append(f";; makespan={makespan(plan)}")
+    lines.append(f";; makespan={_span(slots)}")
     return "\n".join(lines) + "\n"

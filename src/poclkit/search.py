@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .grounding import GroundTask
-from .heuristics import CostTables, FeatureVector, build_tables, feature_value, feature_vector
+from .heuristics import CostTables, build_tables, feature_value, feature_vector
 from .plans import (Flaw, PartialPlan, apply_resolver, is_solution, makespan, null_plan,
                     resolvers)
 from .tuning import ErrorTracker, TraceRow, step_error
@@ -51,11 +51,8 @@ class ModelEvaluator:
         self.tables = tables
         self.name = f"model:{model.metadata.get('base_heuristic', '?')}"
 
-    def features(self, plan: PartialPlan) -> FeatureVector:
-        return feature_vector(plan, self.tables)
-
     def rank(self, plan: PartialPlan) -> float:
-        return self.model.predict(self.features(plan))
+        return self.model.predict(feature_vector(plan, self.tables))
 
 
 class EnhancedEvaluator:
@@ -95,16 +92,14 @@ class SearchResult:
 def select_flaw(plan: PartialPlan, strategy: str, tables: CostTables) -> Flaw:
     """Most adverse flaw: newest threat if any, else the open condition with
     the highest table cost among those local to the newest step (falling back
-    to all open conditions), ties to the lowest fact index."""
+    to all open conditions), ties to the lowest fact index, then consumer."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown flaw strategy {strategy!r}")
     if plan.threats:
         return plan.threats[-1]
-    table = tables.plain if strategy == "mc-loc" else tables.effort
+    cost = (tables.plain if strategy == "mc-loc" else tables.effort).fact_cost
     local = [oc for oc in plan.open_conds if oc.consumer == plan.newest_step]
-    candidates = local if local else list(plan.open_conds)
-    candidates.sort(key=lambda oc: (oc.fact, oc.consumer))
-    return max(candidates, key=lambda oc: (table.fact_cost[oc.fact], -oc.fact))
+    return min(local or plan.open_conds, key=lambda oc: (-cost[oc.fact], oc.fact, oc.consumer))
 
 
 def expand(plan: PartialPlan, task: GroundTask, strategy, tables: CostTables,

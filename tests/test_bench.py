@@ -113,6 +113,16 @@ def test_parse_suite_config_rejects_bad_lines():
         parse_suite_config("domain=d.pddl\nevaluator=add")   # no problems
 
 
+def test_parse_suite_config_rejects_unknown_keys(tmp_path, capsys):
+    text = "domain = d.pddl\nproblem = p.pddl\nevaluator = add\nmax_node = 10\n"
+    with pytest.raises(ValueError, match=r"line 4: unknown key 'max_node'"):
+        parse_suite_config(text)
+    config_path = tmp_path / "suite.cfg"
+    config_path.write_text(text)
+    assert cli.main(["bench", str(config_path)]) == cli.EXIT_INPUT
+    assert "unknown key 'max_node'" in capsys.readouterr().err
+
+
 def test_parse_suite_config_rebases_model_paths():
     text = """
     domain = d.pddl

@@ -9,8 +9,8 @@ from random import Random
 import pytest
 
 from poclkit.grounding import GroundTask
-from poclkit.heuristics import (FEATURE_NAMES, additive_costs, build_tables, eval_add,
-                                eval_g, eval_oc, feature_value, feature_vector)
+from poclkit.heuristics import (FEATURE_NAMES, FeatureVector, additive_costs, build_tables,
+                                eval_add, feature_value, feature_vector)
 from poclkit.plans import (GOAL_STEP, OpenCondition, apply_resolver, collect_flaws,
                            is_solution, null_plan, resolvers)
 from poclkit.search import FeatureEvaluator, SearchLimits, gbfs
@@ -99,27 +99,30 @@ def test_unknown_variant_rejected(chain_task):
 # ── feature evaluations ──────────────────────────────────────────────────────
 
 def test_eval_g_counts_real_steps(chain_task):
+    tables = build_tables(chain_task)
     plan = null_plan(chain_task)
-    assert eval_g(plan) == 0.0
+    assert feature_vector(plan, tables).h_gval == 0.0
     (r,) = [r for r in resolvers(plan, OpenCondition(2, GOAL_STEP), chain_task)
             if r.kind == "new-step"]
     child = apply_resolver(plan, r)
-    assert eval_g(child) == 1.0
+    assert feature_vector(child, tables).h_gval == 1.0
 
 
 def test_eval_g_solution_matches_plan_length(gripper2, gripper2_tables):
     result = gbfs(gripper2, FeatureEvaluator("h_add", gripper2_tables), "mw-loc",
                   SearchLimits(50000, 30.0), gripper2_tables)
     assert result.solved
-    assert eval_g(result.plan) == result.plan_length
+    assert feature_vector(result.plan, gripper2_tables).h_gval == result.plan_length
 
 
 def test_eval_oc(chain_task):
+    tables = build_tables(chain_task)
     plan = null_plan(chain_task)
-    assert eval_oc(plan) == 1.0
+    assert feature_vector(plan, tables).h_oc == 1.0
     (r,) = [r for r in resolvers(plan, OpenCondition(2, GOAL_STEP), chain_task)
             if r.kind == "new-step"]
-    assert eval_oc(apply_resolver(plan, r)) == 1.0   # -1 goal condition, +1 new
+    # -1 goal condition, +1 new
+    assert feature_vector(apply_resolver(plan, r), tables).h_oc == 1.0
 
 
 def test_eval_oc_new_step_with_three_preconditions():
@@ -127,7 +130,7 @@ def test_eval_oc_new_step_with_three_preconditions():
     plan = null_plan(task)
     (r,) = [r for r in resolvers(plan, OpenCondition(0, GOAL_STEP), task)
             if r.kind == "new-step"]
-    assert eval_oc(apply_resolver(plan, r)) == 3.0
+    assert feature_vector(apply_resolver(plan, r), build_tables(task)).h_oc == 3.0
 
 
 def test_eval_add_chain_values(chain_task):
@@ -200,6 +203,7 @@ def test_feature_vector_order_fixed(gripper2, gripper2_tables):
     plan = null_plan(gripper2)
     vec = feature_vector(plan, gripper2_tables)
     assert FEATURE_NAMES == ("h_gval", "h_oc", "h_add", "h_add_w", "h_add_r", "h_add_w_r")
+    assert FEATURE_NAMES == FeatureVector._fields
     for i, name in enumerate(FEATURE_NAMES):
         assert vec[i] == feature_value(name, plan, gripper2_tables)
 

@@ -1,8 +1,14 @@
-"""Parser and grounder tests, including round-trip and binding-count checks."""
+"""Parser and grounder tests, including round-trip and binding-count checks
+and a token-mutation fuzz of the fixtures."""
 
 from __future__ import annotations
 
+import os
+import re
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from poclkit import cli
 from poclkit.grounding import ground
@@ -10,7 +16,7 @@ from poclkit.pddl import (ParseError, PddlError, UndeclaredNameError,
                           UnsupportedRequirementError, domain_to_pddl, load_domain,
                           load_problem, parse_domain, parse_problem, problem_to_pddl)
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 from oracles import enumerate_bindings
 
 MINI_DOMAIN = """
@@ -63,6 +69,49 @@ def test_cli_deep_nesting_exits_with_input_error(tmp_path, capsys):
     assert code == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert "missing closing parenthesis" in err and "Traceback" not in err
+
+
+def _domain_with_precondition(pre: str) -> str:
+    return ("(define (domain d) (:requirements :strips :equality) (:predicates (p ?x))\n"
+            "  (:action a :parameters (?x)\n"
+            "    :precondition\n"
+            f"    {pre}\n"
+            "    :effect (p ?x)))")
+
+
+# malformed forms that once escaped as IndexError, or, with three arguments to
+# =, were read with the third dropped: (kind, text, error position)
+MALFORMED = {
+    "domain-without-name": (
+        "problem", "(define (problem p)\n  (:domain)\n  (:init) (:goal (and)))", (2, 3)),
+    "action-without-name": (
+        "domain", "(define (domain d) (:predicates (p))\n  (:action))", (2, 3)),
+    "equality-with-one-argument": ("domain", _domain_with_precondition("(= ?x)"), (4, 5)),
+    "inequality-with-one-argument": (
+        "domain", _domain_with_precondition("(not (= ?x))"), (4, 10)),
+    "equality-with-three-arguments": (
+        "domain", _domain_with_precondition("(= ?x ?x ?x)"), (4, 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_form_is_a_parse_error_at_its_position(case):
+    kind, text, where = MALFORMED[case]
+    parse = parse_domain if kind == "domain" else parse_problem
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == where
+
+
+def test_cli_malformed_forms_exit_with_input_error(tmp_path, capsys):
+    for case, (kind, text, (line, col)) in sorted(MALFORMED.items()):
+        path = tmp_path / f"{case}.pddl"
+        path.write_text(text)
+        files = [str(path), fixture_path("gripper-1.pddl")] if kind == "domain" \
+            else [fixture_path("gripper.pddl"), str(path)]
+        assert cli.main(["solve", *files]) == cli.EXIT_INPUT, case
+        err = capsys.readouterr().err
+        assert f"{path}:{line}:{col}:" in err and "Traceback" not in err
 
 
 def test_negative_precondition_rejected():
@@ -208,15 +257,6 @@ def test_typed_hierarchy_grounding():
     assert len(flies) == 0      # a single airport leaves no from != to pair
 
 
-def test_reachability_pruning_flag():
-    domain, problem = _gripper2()
-    full = ground(domain, problem)
-    pruned = ground(domain, problem, prune_unreachable=True)
-    assert len(pruned.facts) <= len(full.facts)
-    assert len(pruned.actions) <= len(full.actions)
-    assert pruned.goal and pruned.init
-
-
 # ── Round-trips ──────────────────────────────────────────────────────────────
 
 def test_domain_round_trip():
@@ -229,3 +269,65 @@ def test_problem_round_trip():
     for name in ("gripper-2.pddl", "logistics-3a.pddl", "blocks-rev-3.pddl"):
         ast = load_problem(fixture_path(name))
         assert parse_problem(problem_to_pddl(ast)) == ast
+
+
+# ── Fuzzing ──────────────────────────────────────────────────────────────────
+
+FIXTURE_NAMES = sorted(n for n in os.listdir(FIXTURES) if n.endswith(".pddl"))
+TOKEN_POOL = ("(", ")", "define", "domain", "problem", ":domain", ":action", ":parameters",
+              ":precondition", ":effect", ":requirements", ":types", ":constants",
+              ":predicates", ":objects", ":init", ":goal", "and", "not", "=", "-", "?x",
+              "object", ":strips", ":typing")
+
+
+def _fixture_tokens(name: str) -> list[str]:
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        text = re.sub(r";[^\n]*", "", fh.read())
+    return re.findall(r"[()]|[^\s()]+", text)
+
+
+def _at(name: str, token: str, nth: int = 0) -> int:
+    """Index of the ``nth`` occurrence of ``token`` in a fixture's tokens."""
+    return [i for i, t in enumerate(_fixture_tokens(name)) if t == token][nth]
+
+
+def _mutate(tokens: list[str], edits) -> str:
+    """Apply (op, position, token) edits; positions wrap around the list."""
+    out = list(tokens)
+    for op, pos, tok in edits:
+        if op == "insert":
+            out.insert(pos % (len(out) + 1), tok)
+        elif out and op == "delete":
+            del out[pos % len(out)]
+        elif out:
+            out[pos % len(out)] = tok
+    return " ".join(out)
+
+
+def _parse_and_ground(name: str, text: str) -> None:
+    """Parse a mutated fixture and ground it with its unmutated partner file."""
+    if "-" in name:   # problem files are named DOMAIN-...
+        ground(load_domain(fixture_path(name.split("-")[0] + ".pddl")), parse_problem(text))
+    else:
+        partner = min(n for n in FIXTURE_NAMES if n.startswith(name[:-len(".pddl")] + "-"))
+        ground(parse_domain(text), load_problem(fixture_path(partner)))
+
+
+EDITS = st.lists(st.tuples(st.sampled_from(("delete", "insert", "replace")),
+                           st.integers(0, 10_000), st.sampled_from(TOKEN_POOL)),
+                 min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(FIXTURE_NAMES), edits=EDITS)
+@example(name="gripper-1.pddl", edits=[("delete", _at("gripper-1.pddl", ":domain") + 1, "(")])
+@example(name="gripper.pddl", edits=[("insert", _at("gripper.pddl", ":action", -1) + 1, ")"),
+                                     ("delete", -2, ")")])
+@example(name="gripper.pddl", edits=[("replace", _at("gripper.pddl", "at-robby", 1), "=")])
+@example(name="gripper.pddl", edits=[("delete", _at("gripper.pddl", "=") + 2, "(")])
+def test_fuzzed_pddl_raises_only_pddl_errors(name, edits):
+    # the examples make (:domain), (:action), (= ?from) and (not (= ?from))
+    try:
+        _parse_and_ground(name, _mutate(_fixture_tokens(name), edits))
+    except PddlError:
+        pass

@@ -13,7 +13,7 @@ from random import Random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from poclkit.heuristics import build_tables, eval_add
+from poclkit.heuristics import FEATURE_NAMES, build_tables, eval_add, feature_value, feature_vector
 from poclkit.plans import (GOAL_STEP, INIT_STEP, OpenCondition, Resolver, apply_resolver,
                            collect_flaws, is_solution, linearize, null_plan,
                            random_linearization, resolvers, step_sequence, validate)
@@ -74,6 +74,10 @@ def _check_plan(task, tables, plan, edges):
         if not reuse:
             expected_add_r += tables.plain.fact_cost[fact]
     assert eval_add(plan, tables.plain, reuse=True) == expected_add_r
+    # the single-feature kernel and the full vector agree on every feature
+    vector = feature_vector(plan, tables)
+    for i, name in enumerate(FEATURE_NAMES):
+        assert feature_value(name, plan, tables) == vector[i]
 
     order, done = linearize(plan), set()
     assert sorted(order) == sorted(plan.steps)
