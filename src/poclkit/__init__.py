@@ -6,7 +6,7 @@ from .heuristics import (FEATURE_NAMES, CostTable, CostTables, FeatureVector, ad
                          build_tables, eval_add, feature_vector)
 from .learning import (Dataset, DatasetConfig, LinearModel, TrainingInstance,
                        correlation_select, fit_linear, generate_dataset, load_model,
-                       predict, save_model)
+                       save_model)
 from .pddl import DomainAst, ProblemAst, parse_domain, parse_problem
 from .plans import (CausalLink, OpenCondition, PartialPlan, Resolver, Threat, apply_resolver,
                     collect_flaws, format_plan, is_solution, linearize, makespan, null_plan,

@@ -108,12 +108,27 @@ SUITE_KEYS = frozenset({"domain", "flaws", "max_nodes", "timeout", "out_dir", "s
                         "workers", "max_copies"})
 
 
+def _add_once(seen: dict[str, int], item: str, what: str, lineno: int) -> None:
+    """Record ``item`` as first seen on ``lineno``; a second sighting is an error."""
+    if item in seen:
+        raise ValueError(f"suite config line {lineno}: repeated {what} {item!r} "
+                         f"(first on line {seen[item]})")
+    seen[item] = lineno
+
+
 def parse_suite_config(text: str, base_dir: str = ".") -> SuiteConfig:
     """Parse ``key=value`` lines; ``problem`` and ``evaluator`` repeat, and
-    any other key must be one of ``SUITE_KEYS``."""
+    any other key must be one of ``SUITE_KEYS`` and appear once. Paths are
+    config-relative. A problem or evaluator listed twice (compared after the
+    paths are resolved and normalised) is an error, since each would run and
+    score its cells twice."""
+    def rebase(path: str) -> str:
+        return os.path.normpath(os.path.join(base_dir, path))
+
     values: dict[str, str] = {}
-    problems: list[str] = []
-    evaluators: list[str] = []
+    problems: dict[str, int] = {}      # value -> line, in config order
+    evaluators: dict[str, int] = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -123,14 +138,15 @@ def parse_suite_config(text: str, base_dir: str = ".") -> SuiteConfig:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key == "problem":
-            problems.append(os.path.join(base_dir, value))
+            _add_once(problems, rebase(value), key, lineno)
         elif key == "evaluator":
             model = parse_model_spec(value)
-            if model is not None:   # model paths are config-relative
+            if model is not None:
                 path, enhanced = model
-                value = "model:" + os.path.join(base_dir, path) + (":enhanced" if enhanced else "")
-            evaluators.append(value)
+                value = "model:" + rebase(path) + (":enhanced" if enhanced else "")
+            _add_once(evaluators, value, key, lineno)
         elif key in SUITE_KEYS:
+            _add_once(key_lines, key, "key", lineno)
             values[key] = value
         else:
             raise ValueError(f"suite config line {lineno}: unknown key {key!r}")
@@ -146,13 +162,13 @@ def parse_suite_config(text: str, base_dir: str = ".") -> SuiteConfig:
         raise ValueError(f"unknown flaw strategy {strategy!r}")
 
     return SuiteConfig(
-        domain=os.path.join(base_dir, values["domain"]),
-        problems=problems,
-        evaluators=evaluators,
+        domain=rebase(values["domain"]),
+        problems=list(problems),
+        evaluators=list(evaluators),
         strategy=strategy,
         max_generated=int(values.get("max_nodes", 1_000_000)),
         wall_time=float(values.get("timeout", 900.0)),
-        out_dir=os.path.join(base_dir, values.get("out_dir", "bench-out")),
+        out_dir=rebase(values.get("out_dir", "bench-out")),
         rng_seed=int(values.get("seed", 0)),
         workers=int(values.get("workers", 0)),
         max_copies=None if values.get("max_copies", "2") == "none"

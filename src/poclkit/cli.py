@@ -112,6 +112,10 @@ def _cmd_learn_dataset(args: argparse.Namespace) -> int:
         return EXIT_UNSOLVED
     learning.save_dataset(dataset, args.out)
     print(f"wrote {len(dataset.instances)} instances to {args.out}")
+    draws = dataset.draws
+    failed_nodes = sum(d.generated for d in draws if not d.solved)
+    print(f"draws: {sum(d.solved for d in draws)}/{len(draws)} solved, "
+          f"{failed_nodes / sum(d.generated for d in draws):.1%} of draw nodes in failed draws")
     return EXIT_OK
 
 

@@ -39,9 +39,6 @@ class GroundTask:
     goal: frozenset[int]
     fact_ids: dict[str, int] = field(repr=False, default_factory=dict)
 
-    def fact_name(self, index: int) -> str:
-        return self.facts[index]
-
     @cached_property
     def adders(self) -> tuple[tuple[int, ...], ...]:
         """For each fact index, ids of actions that add it."""

@@ -21,7 +21,7 @@ import numpy as np
 from .grounding import GroundTask
 from .heuristics import FEATURE_NAMES, FeatureVector, build_tables, feature_vector
 from .plans import PartialPlan, null_plan
-from .search import FeatureEvaluator, SearchLimits, gbfs
+from .search import FeatureEvaluator, SearchLimits, SearchResult, gbfs
 
 log = logging.getLogger("poclkit.learning")
 
@@ -63,6 +63,7 @@ class DrawRecord:
     solved: bool
     pool_before: int
     pool_after: int
+    generated: int        # nodes of the draw's own search, not of its replay
 
 
 @dataclass
@@ -98,6 +99,15 @@ def generate_dataset(tasks: Sequence[GroundTask], base_heuristic: str,
     heuristic. A successful refinement emits one instance (features of the
     seed, target = new actions added) and feeds the plans generated along the
     way back into the pool; a failed one contributes neither.
+
+    Each draw runs in two passes. The first searches without keeping the
+    plans it generates, so a failed draw holds only its open list. Only a
+    solved draw is searched again from the same seed with
+    ``collect_generated``, bounded by the first pass's node count; search is
+    deterministic, so the replay reaches the same solution and the pool and
+    instances equal those of a single collecting pass. Besides the pool,
+    memory holds one search's open list, plus every plan of the one solved
+    draw being replayed.
     """
     if config is None:
         config = DatasetConfig()
@@ -117,20 +127,34 @@ def generate_dataset(tasks: Sequence[GroundTask], base_heuristic: str,
             before = len(pool)
             sp = pool[rng.randrange(before)]
             result = gbfs(task, evaluator, config.strategy, limits, tables,
-                          root=sp, max_copies=config.max_copies, collect_generated=True)
+                          root=sp, max_copies=config.max_copies)
             if result.solved:
-                target = result.plan.action_count - sp.action_count
+                replay = gbfs(task, evaluator, config.strategy,
+                              SearchLimits(result.generated, math.inf), tables,
+                              root=sp, max_copies=config.max_copies, collect_generated=True)
+                _check_replay(result, replay, task.problem_name, draw)
+                target = replay.plan.action_count - sp.action_count
                 dataset.instances.append(TrainingInstance(
-                    feature_vector(sp, tables), target, sp, result.plan))
-                pool.extend(result.generated_plans)
+                    feature_vector(sp, tables), target, sp, replay.plan))
+                pool.extend(replay.generated_plans)
             dataset.draws.append(DrawRecord(task.problem_name, draw, result.solved,
-                                            before, len(pool)))
-            log.debug("problem=%s draw=%d solved=%s pool=%d",
-                      task.problem_name, draw, result.solved, len(pool))
+                                            before, len(pool), result.generated))
+            log.debug("problem=%s draw=%d solved=%s generated=%d pool=%d",
+                      task.problem_name, draw, result.solved, result.generated, len(pool))
 
     if not dataset.instances:
         raise EmptyDatasetError("no seed refined to a solution within the limits")
     return dataset
+
+
+def _check_replay(first: SearchResult, replay: SearchResult, problem: str, draw: int) -> None:
+    """A replay must retrace the first pass; anything else means search is
+    not deterministic and the pool would hold plans of a different search."""
+    if not (replay.solved and replay.generated == first.generated
+            and replay.plan == first.plan):
+        raise RuntimeError(
+            f"{problem} draw {draw}: replay gave {replay.outcome} after "
+            f"{replay.generated} nodes, first pass solved after {first.generated}")
 
 
 # ── Feature selection ────────────────────────────────────────────────────────
@@ -230,10 +254,6 @@ def fit_linear(dataset: Dataset, mask: Sequence[int]) -> LinearModel:
     metadata["residual_std"] = float(residuals.std())
 
     return LinearModel(tuple(float(b) for b in beta[1:]), float(beta[0]), mask, metadata)
-
-
-def predict(model: LinearModel, features: FeatureVector) -> float:
-    return model.predict(features)
 
 
 # ── Persistence ──────────────────────────────────────────────────────────────

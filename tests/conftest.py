@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from random import Random
@@ -11,6 +12,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 from poclkit.grounding import GroundAction, GroundTask
 from poclkit.heuristics import build_tables
 from poclkit.pddl import load_domain, load_problem
+from poclkit.plans import PartialPlan
 from poclkit.grounding import ground
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -49,6 +51,12 @@ def random_task(rng: Random, max_facts: int = 12, max_actions: int = 10) -> Grou
 
 def load_fixture_task(domain: str, problem: str) -> GroundTask:
     return ground(load_domain(fixture_path(domain)), load_problem(fixture_path(problem)))
+
+
+def live_plans() -> int:
+    """Number of ``PartialPlan`` objects alive after a full collection."""
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is PartialPlan)
 
 
 @pytest.fixture(scope="session")

@@ -8,16 +8,17 @@ from random import Random
 
 import pytest
 
-from poclkit.heuristics import FEATURE_NAMES, FeatureVector, build_tables
-from poclkit.learning import (Dataset, DatasetConfig, DegenerateDatasetError,
+from poclkit import learning
+from poclkit.heuristics import FEATURE_NAMES, FeatureVector, build_tables, feature_vector
+from poclkit.learning import (Dataset, DatasetConfig, DegenerateDatasetError, DrawRecord,
                               EmptyDatasetError, LinearModel, MalformedModelError,
                               TrainingInstance, correlation_select, fit_linear,
-                              generate_dataset, load_dataset, load_model, predict,
+                              generate_dataset, load_dataset, load_model,
                               save_dataset, save_model)
-from poclkit.plans import is_solution, null_plan
-from poclkit.search import FeatureEvaluator, SearchLimits, gbfs
+from poclkit.plans import format_plan, is_solution, null_plan
+from poclkit.search import FeatureEvaluator, SearchLimits, gbfs, select_flaw
 
-from conftest import load_fixture_task, make_task
+from conftest import live_plans, load_fixture_task, make_task
 from oracles import ols_line
 
 INF = math.inf
@@ -93,6 +94,83 @@ def test_dataset_reproducible():
     assert [i.target for i in d1.instances] == [i.target for i in d2.instances]
 
 
+def collecting_dataset(tasks, base_heuristic, config):
+    """Reference: the single-pass seed-pool loop, every draw collecting its
+    generated plans, as ``generate_dataset`` ran before it replayed only the
+    solved draws."""
+    draws, instances = [], []
+    limits = SearchLimits(config.seed_max_generated, config.seed_wall_time)
+    for pidx, task in enumerate(tasks):
+        rng = Random(f"{config.rng_seed}:{pidx}")
+        tables = build_tables(task)
+        evaluator = FeatureEvaluator(base_heuristic, tables)
+        pool = [null_plan(task)]
+        for draw in range(config.seeds_per_problem):
+            before = len(pool)
+            sp = pool[rng.randrange(before)]
+            result = gbfs(task, evaluator, config.strategy, limits, tables, root=sp,
+                          max_copies=config.max_copies, collect_generated=True)
+            if result.solved:
+                instances.append(TrainingInstance(
+                    feature_vector(sp, tables), result.plan.action_count - sp.action_count,
+                    sp, result.plan))
+                pool.extend(result.generated_plans)
+            draws.append(DrawRecord(task.problem_name, draw, result.solved, before,
+                                    len(pool), result.generated))
+    return draws, instances
+
+
+def test_replayed_draws_match_collecting_every_draw():
+    tasks = [load_fixture_task("gripper.pddl", "gripper-1.pddl"),
+             load_fixture_task("gripper.pddl", "gripper-train-1.pddl"),
+             make_task(2, [], {0}, {1})]                     # hopeless
+    config = DatasetConfig(seeds_per_problem=4, seed_max_generated=8000, rng_seed=0)
+    dataset = generate_dataset(tasks, "h_add", config)
+    draws, instances = collecting_dataset(tasks, "h_add", config)
+    assert dataset.draws == draws
+    assert {d.problem for d in draws if d.solved} == {"gripper-1"}
+    assert {d.generated for d in draws if d.problem == "gripper-train-1"} == {8000}
+    assert [i.features for i in dataset.instances] == [i.features for i in instances]
+    assert [i.target for i in dataset.instances] == [i.target for i in instances]
+    for ours, ref in zip(dataset.instances, instances, strict=True):
+        assert format_plan(ours.seed_plan) == format_plan(ref.seed_plan)
+        assert format_plan(ours.solution_plan) == format_plan(ref.solution_plan)
+
+
+def test_failed_draw_keeps_only_its_open_list():
+    # gripper-train-1's first draw fails at 8,000 nodes; by its 3,000th
+    # expansion a collecting search would hold every plan it generated.
+    task = load_fixture_task("gripper.pddl", "gripper-train-1.pddl")
+    seen = {"visits": 0}
+
+    def probe(plan, tables):
+        seen["visits"] += 1
+        if seen["visits"] == 3000:
+            seen["live"] = live_plans()
+        return select_flaw(plan, "mw-loc", tables)
+
+    config = DatasetConfig(seeds_per_problem=1, seed_max_generated=8000, rng_seed=0,
+                           strategy=probe)
+    with pytest.raises(EmptyDatasetError):
+        generate_dataset([task], "h_add", config)
+    assert seen["live"] < 3000
+
+
+def test_replay_that_differs_is_an_error(monkeypatch):
+    real_gbfs = learning.gbfs
+
+    def drifting(*args, **kwargs):
+        result = real_gbfs(*args, **kwargs)
+        if kwargs.get("collect_generated"):
+            result.generated += 1
+        return result
+
+    monkeypatch.setattr(learning, "gbfs", drifting)
+    task = load_fixture_task("gripper.pddl", "gripper-1.pddl")
+    with pytest.raises(RuntimeError, match="replay"):
+        generate_dataset([task], "h_add", DatasetConfig(seeds_per_problem=1))
+
+
 # ── correlation_select ───────────────────────────────────────────────────────
 
 def test_feature_identical_to_target_retained():
@@ -165,7 +243,7 @@ def test_exact_interpolation():
     assert model.weights[1] == pytest.approx(2.0, abs=1e-9)
     assert model.intercept == pytest.approx(0.0, abs=1e-9)
     for (a, b), t in points:
-        assert predict(model, vec(a, b, 0, 0, 0, 0)) == pytest.approx(t, abs=1e-9)
+        assert model.predict(vec(a, b, 0, 0, 0, 0)) == pytest.approx(t, abs=1e-9)
 
 
 def test_constant_target_rejected():
@@ -219,7 +297,7 @@ def test_singular_gram_gets_ridge():
         instances.append(TrainingInstance(vec(x, x, 0, 0, 0, 0), 2 * x + 1))
     model = fit_linear(synthetic_dataset(instances), (0, 1))
     assert model.metadata.get("ridge") == 1e-8
-    assert predict(model, vec(2, 2, 0, 0, 0, 0)) == pytest.approx(5.0, abs=1e-3)
+    assert model.predict(vec(2, 2, 0, 0, 0, 0)) == pytest.approx(5.0, abs=1e-3)
 
 
 def test_subsampling_caps_instances():
@@ -233,23 +311,23 @@ def test_subsampling_caps_instances():
 
 def test_predict_arithmetic():
     model = LinearModel((1.0, 2.0), 0.0, (0, 1))
-    assert predict(model, vec(3, 4, 0, 0, 0, 0)) == 11.0
+    assert model.predict(vec(3, 4, 0, 0, 0, 0)) == 11.0
 
 
 def test_predict_clamps_negative():
     model = LinearModel((1.0,), -10.0, (0,))
-    assert predict(model, vec(2, 0, 0, 0, 0, 0)) == 0.0
+    assert model.predict(vec(2, 0, 0, 0, 0, 0)) == 0.0
 
 
 def test_predict_infinite_passthrough():
     model = LinearModel((1.0, 1.0), 0.0, (2, 3))
-    assert predict(model, vec(0, 0, INF, 1, 0, 0)) == INF
+    assert model.predict(vec(0, 0, INF, 1, 0, 0)) == INF
 
 
 def test_predict_monotone_in_positive_weight():
     model = LinearModel((0.5, 2.0), 1.0, (1, 2))
-    lo = predict(model, vec(0, 1, 1, 0, 0, 0))
-    hi = predict(model, vec(0, 1, 3, 0, 0, 0))
+    lo = model.predict(vec(0, 1, 1, 0, 0, 0))
+    hi = model.predict(vec(0, 1, 3, 0, 0, 0))
     assert hi > lo
 
 
@@ -304,7 +382,7 @@ def test_hand_written_model_predicts(tmp_path):
                    "weights": [1.0, 2.0], "intercept": 0.0, "instances": 0, "seed": 0},
                   fh)
     model = load_model(path)
-    assert predict(model, vec(3, 4, 0, 0, 0, 0)) == 11.0
+    assert model.predict(vec(3, 4, 0, 0, 0, 0)) == 11.0
 
 
 def test_dataset_csv_round_trip(tmp_path):

@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
-import gc
 from random import Random
 
 import pytest
 
 from poclkit.heuristics import build_tables
-from poclkit.plans import (GOAL_STEP, OpenCondition, PartialPlan, Threat, apply_resolver,
+from poclkit.plans import (GOAL_STEP, OpenCondition, Threat, apply_resolver,
                            collect_flaws, is_solution, null_plan, random_linearization,
                            resolvers, step_sequence, validate)
 from poclkit.search import (FeatureEvaluator, SearchLimits, best_child, expand, gbfs,
                             select_flaw)
 
-from conftest import load_fixture_task, make_task
+from conftest import live_plans, load_fixture_task, make_task
 from oracles import bfs_optimal_length, min_new_actions
 
 
@@ -268,11 +267,6 @@ def test_solution_node_trace_path_consistent(gripper2, gripper2_tables):
     assert depth_counts == result.plan_length
 
 
-def _live_plans() -> int:
-    gc.collect()
-    return sum(1 for obj in gc.get_objects() if type(obj) is PartialPlan)
-
-
 def test_visited_plans_are_freed():
     # Each generated plan is ranked once and each visited one reaches the flaw
     # selector once, so the open list holds (rank calls - selector calls)
@@ -288,14 +282,14 @@ def test_visited_plans_are_freed():
             return super().rank(plan)
 
     evaluator = CountingEvaluator("h_add", tables)
-    before = _live_plans()
+    before = live_plans()
     seen = {}
 
     def probe(plan, tables_):
         seen["visits"] = seen.get("visits", 0) + 1
         if seen["visits"] == 1000:
             seen["open"] = evaluator.calls - seen["visits"]
-            seen["live"] = _live_plans() - before
+            seen["live"] = live_plans() - before
         return select_flaw(plan, "mw-loc", tables_)
 
     result = gbfs(task, evaluator, probe, SearchLimits(100_000, 60.0), tables)
