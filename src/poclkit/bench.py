@@ -203,9 +203,14 @@ class ScoreReport:
     csv_path: str = ""
 
 
+def _problem_name(path: str) -> str:
+    """A problem's key in the rows, the scores and the plan file names: its file stem."""
+    return os.path.splitext(os.path.basename(path))[0]
+
+
 def _run_cell(args: tuple) -> CellResult:
     domain_path, problem_path, eval_spec, strategy, max_generated, wall_time, max_copies = args
-    problem_name = os.path.splitext(os.path.basename(problem_path))[0]
+    problem_name = _problem_name(problem_path)
     try:
         task = load_task(domain_path, problem_path)
         tables = build_tables(task)
@@ -280,7 +285,17 @@ def write_report_csv(rows: list[CellResult], path: str) -> None:
 
 
 def run_suite(config: SuiteConfig) -> ScoreReport:
-    """Run every problem under every evaluator, score, and write the report."""
+    """Run every problem under every evaluator, score, and write the report.
+
+    Rows are keyed by the problem's file stem, so two problems with one stem
+    are a ``ValueError``.
+    """
+    paths: dict[str, str] = {}
+    for problem in config.problems:
+        name = _problem_name(problem)
+        if name in paths:
+            raise ValueError(f"problems {paths[name]} and {problem} share the name {name!r}")
+        paths[name] = problem
     cells = [(config.domain, problem, evaluator, config.strategy,
               config.max_generated, config.wall_time, config.max_copies)
              for problem in config.problems

@@ -11,7 +11,11 @@ fact -> step bitmasks (which steps add, which delete each fact) turn the reuse
 and threat tests into mask operations against the closure.
 
 Step 0 is the initial dummy (adds the initial state), step 1 the goal dummy
-(whose preconditions are the goal); real steps are numbered from 2.
+(whose preconditions are the goal); real steps are numbered from 2, and ids
+are contiguous. The steps and the closure are tuples indexed by step id; the
+causal links and open conditions are tuples in the order they were
+introduced. A child is built from slices and concatenations of its parent's
+tuples, and a child that does not change one shares the parent's object.
 """
 
 from __future__ import annotations
@@ -61,19 +65,23 @@ class Resolver(NamedTuple):
 
 @dataclass(slots=True)
 class PartialPlan:
-    steps: dict[int, GroundAction]
-    after: dict[int, int]                     # step -> bitmask of steps strictly after it;
+    steps: tuple[GroundAction, ...]           # indexed by step id
+    after: tuple[int, ...]                    # step id -> bitmask of steps strictly after it;
                                               # the transitive closure, the one ordering record
     producers: dict[int, int]                 # fact -> bitmask of steps adding it
     deleters: dict[int, int]                  # fact -> bitmask of steps deleting it
-    links: frozenset[CausalLink]
-    open_conds: frozenset[OpenCondition]
+    links: tuple[CausalLink, ...]             # in introduction order, oldest first
+    open_conds: tuple[OpenCondition, ...]     # in introduction order, oldest first
     threats: tuple[Threat, ...]               # in introduction order, oldest first
-    newest_step: int
 
     @property
     def action_count(self) -> int:
         return len(self.steps) - 2
+
+    @property
+    def newest_step(self) -> int:
+        """The most recently added step (the goal dummy in the null plan)."""
+        return len(self.steps) - 1
 
     def ordered(self, before: int, after_step: int) -> bool:
         """Is ``before ≺ after_step`` entailed by the ordering closure?"""
@@ -88,21 +96,30 @@ class PartialPlan:
                 f"threats={len(self.threats)})")
 
 
-def _add_edge(after: dict[int, int], x: int, y: int) -> bool:
-    """Insert x ≺ y into the closure in place; False if it would cycle."""
+def _add_edge(after: tuple[int, ...], x: int, y: int) -> Optional[tuple[int, ...]]:
+    """The closure with x ≺ y inserted: ``after`` itself when the edge is
+    already entailed, None if it would cycle."""
     if x == y or (after[y] >> x) & 1:
-        return False
+        return None
     if (after[x] >> y) & 1:
-        return True
+        return after
     gain = after[y] | (1 << y)
     xbit = 1 << x
-    for u, mask in after.items():
-        if u == x or mask & xbit:
-            after[u] = mask | gain
-    return True
+    return tuple([mask | gain if u == x or mask & xbit else mask
+                  for u, mask in enumerate(after)])
 
 
-def _threat_live(after: dict[int, int], threat: Threat) -> bool:
+def _without(open_conds: tuple[OpenCondition, ...],
+             oc: OpenCondition) -> tuple[OpenCondition, ...]:
+    """``open_conds`` less ``oc``; the same tuple when ``oc`` is not open."""
+    try:
+        i = open_conds.index(oc)
+    except ValueError:
+        return open_conds
+    return open_conds[:i] + open_conds[i + 1:]
+
+
+def _threat_live(after: tuple[int, ...], threat: Threat) -> bool:
     t, (p, _, c) = threat
     return not ((after[t] >> p) & 1) and not ((after[c] >> t) & 1)
 
@@ -115,7 +132,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _threats_on_link(after: dict[int, int], deleters: dict[int, int],
+def _threats_on_link(after: tuple[int, ...], deleters: dict[int, int],
                      link: CausalLink) -> list[Threat]:
     """Live threats on ``link``, ascending by threatening step."""
     p, q, c = link
@@ -123,8 +140,8 @@ def _threats_on_link(after: dict[int, int], deleters: dict[int, int],
     return [Threat(t, link) for t in _bits(candidates) if not (after[t] >> p) & 1]
 
 
-def _threats_by_step(after: dict[int, int], sid: int, act: GroundAction,
-                     links: frozenset[CausalLink]) -> list[Threat]:
+def _threats_by_step(after: tuple[int, ...], sid: int, act: GroundAction,
+                     links: tuple[CausalLink, ...]) -> list[Threat]:
     """Live threats a freshly added step poses to existing links.
 
     Only a0 precedes a fresh step and a0 is never a consumer, so a threat is
@@ -152,14 +169,13 @@ def goal_action(task: GroundTask) -> GroundAction:
 def null_plan(task: GroundTask) -> PartialPlan:
     """The empty plan: the two dummies, a0 ≺ a_inf, one open condition per goal."""
     return PartialPlan(
-        steps={INIT_STEP: init_action(task), GOAL_STEP: goal_action(task)},
-        after={INIT_STEP: 1 << GOAL_STEP, GOAL_STEP: 0},
+        steps=(init_action(task), goal_action(task)),
+        after=(1 << GOAL_STEP, 0),
         producers=dict.fromkeys(task.init, 1 << INIT_STEP),
         deleters={},
-        links=frozenset(),
-        open_conds=frozenset(OpenCondition(g, GOAL_STEP) for g in task.goal),
+        links=(),
+        open_conds=tuple(OpenCondition(g, GOAL_STEP) for g in task.goal),
         threats=(),
-        newest_step=GOAL_STEP,
     )
 
 
@@ -209,11 +225,10 @@ def resolvers(plan: PartialPlan, flaw: Flaw, task: GroundTask,
 
 def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPlan]:
     """A new plan with the resolver applied, or None if an ordering cycles."""
-    after = dict(plan.after)
-
     if resolver.kind in ("promotion", "demotion"):
         x, y = resolver.ordering
-        if not _add_edge(after, x, y):
+        after = _add_edge(plan.after, x, y)
+        if after is None:
             return None
         return PartialPlan(
             steps=plan.steps,
@@ -223,13 +238,13 @@ def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPla
             links=plan.links,
             open_conds=plan.open_conds,
             threats=tuple(th for th in plan.threats if _threat_live(after, th)),
-            newest_step=plan.newest_step,
         )
 
     q, c = resolver.fact, resolver.consumer
     if resolver.kind == "reuse":
         p = resolver.producer
-        if not _add_edge(after, p, c):
+        after = _add_edge(plan.after, p, c)
+        if after is None:
             return None
         link = CausalLink(p, q, c)
         threats = [th for th in plan.threats if _threat_live(after, th)]
@@ -239,20 +254,21 @@ def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPla
             after=after,
             producers=plan.producers,
             deleters=plan.deleters,
-            links=plan.links | {link},
-            open_conds=plan.open_conds - {OpenCondition(q, c)},
+            links=plan.links + (link,),
+            open_conds=_without(plan.open_conds, OpenCondition(q, c)),
             threats=tuple(threats),
-            newest_step=plan.newest_step,
         )
 
     # A fresh step sits after a0 and before a_inf and c: it cannot close a
     # cycle, and it orders no pair of existing steps, so every old threat
     # stays live.
     act = resolver.action
-    sid = max(plan.steps) + 1
+    sid = len(plan.steps)
     bit = 1 << sid
-    after[sid] = (1 << GOAL_STEP) | (1 << c) | after[c]
+    after = list(plan.after)
+    after.append((1 << GOAL_STEP) | (1 << c) | after[c])
     after[INIT_STEP] |= bit
+    after = tuple(after)
     producers = dict(plan.producers)
     for f in act.add:
         producers[f] = producers.get(f, 0) | bit
@@ -266,15 +282,14 @@ def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPla
     fresh += _threats_on_link(after, deleters, link)
     fresh.sort(key=_threat_sort_key)
     return PartialPlan(
-        steps={**plan.steps, sid: act},
+        steps=plan.steps + (act,),
         after=after,
         producers=producers,
         deleters=deleters,
-        links=plan.links | {link},
-        open_conds=(plan.open_conds - {OpenCondition(q, c)})
-        | {OpenCondition(f, sid) for f in act.pre},
+        links=plan.links + (link,),
+        open_conds=_without(plan.open_conds, OpenCondition(q, c))
+        + tuple([OpenCondition(f, sid) for f in act.pre]),
         threats=plan.threats + tuple(fresh),
-        newest_step=sid,
     )
 
 
@@ -283,11 +298,11 @@ def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPla
 def _topological(plan: PartialPlan, pick) -> list[int]:
     """Kahn's algorithm over the closure; ``pick(ready)`` is the index of the
     ready step to emit next. Newly ready steps join ``ready`` ascending."""
-    indeg = dict.fromkeys(plan.steps, 0)
-    for mask in plan.after.values():
+    indeg = [0] * len(plan.steps)
+    for mask in plan.after:
         for sid in _bits(mask):
             indeg[sid] += 1
-    ready = sorted(sid for sid, d in indeg.items() if d == 0)
+    ready = [sid for sid, d in enumerate(indeg) if d == 0]
     order: list[int] = []
     while ready:
         sid = ready.pop(pick(ready))
@@ -312,12 +327,12 @@ def random_linearization(plan: PartialPlan, rng: Random) -> list[int]:
 
 def earliest_slots(plan: PartialPlan) -> dict[int, int]:
     """Earliest-start slot (0-based) for each real step under unit durations."""
-    level = dict.fromkeys(plan.steps, 0)
+    level = [0] * len(plan.steps)
     for sid in linearize(plan):
         for nxt in _bits(plan.after[sid]):
             if level[nxt] <= level[sid]:
                 level[nxt] = level[sid] + 1
-    return {sid: level[sid] - 1 for sid in plan.steps if sid not in (INIT_STEP, GOAL_STEP)}
+    return {sid: level[sid] - 1 for sid in range(GOAL_STEP + 1, len(plan.steps))}
 
 
 def _span(slots: dict[int, int]) -> int:

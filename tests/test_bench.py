@@ -247,6 +247,33 @@ def test_run_suite_survives_bad_problem(tmp_path):
     assert all(not r.solved and r.error for r in bad)
 
 
+def test_run_suite_rejects_problems_sharing_a_name(tmp_path, capsys):
+    # rows, scores and plan files are keyed by file stem, so these two would
+    # be scored against each other and write one plan file
+    paths = []
+    for folder, source in (("a", "gripper-1.pddl"), ("b", "gripper-2.pddl")):
+        (tmp_path / folder).mkdir()
+        path = tmp_path / folder / "gripper-1.pddl"
+        with open(fixture_path(source)) as fh:
+            path.write_text(fh.read())
+        paths.append(str(path))
+    config = _suite(tmp_path, evaluators=("add",))
+    config.problems = paths
+    with pytest.raises(ValueError) as err:
+        run_suite(config)
+    assert paths[0] in str(err.value) and paths[1] in str(err.value)
+    assert not os.path.exists(config.out_dir)
+
+    config_path = tmp_path / "suite.cfg"
+    config_path.write_text(f"domain = {config.domain}\nproblem = {paths[0]}\n"
+                           f"problem = {paths[1]}\nevaluator = add\nworkers = 1\n"
+                           f"out_dir = {tmp_path / 'cli-out'}\n")
+    assert cli.main(["bench", str(config_path)]) == cli.EXIT_INPUT
+    message = capsys.readouterr().err
+    assert paths[0] in message and paths[1] in message
+    assert not os.path.exists(tmp_path / "cli-out")
+
+
 # ── CLI ──────────────────────────────────────────────────────────────────────
 
 def test_cli_solve_exit_codes(tmp_path, capsys):

@@ -37,30 +37,32 @@ def _reach(steps, edges) -> dict[int, set[int]]:
 
 
 def _reusers(plan, reach, fact, consumer) -> list[int]:
-    return [sid for sid in sorted(plan.steps)
+    return [sid for sid in range(len(plan.steps))
             if sid != consumer and fact in plan.steps[sid].add and sid not in reach[consumer]]
 
 
 def _threats(plan, reach) -> set:
-    return {(t, link) for link in plan.links for t, act in plan.steps.items()
+    return {(t, link) for link in plan.links for t, act in enumerate(plan.steps)
             if t not in (link.producer, link.consumer) and link.fact in act.delete
             and link.producer not in reach[t] and t not in reach[link.consumer]}
 
 
 def _snapshot(plan):
-    return (dict(plan.steps), dict(plan.after), dict(plan.producers), dict(plan.deleters),
+    return (dict(enumerate(plan.steps)), dict(enumerate(plan.after)),
+            dict(plan.producers), dict(plan.deleters),
             plan.links, plan.open_conds, plan.threats, plan.newest_step)
 
 
 def _check_plan(task, tables, plan, edges):
-    reach = _reach(plan.steps, edges)
-    assert plan.after == {sid: sum(1 << n for n in after) for sid, after in reach.items()}
+    reach = _reach(range(len(plan.steps)), edges)
+    assert dict(enumerate(plan.after)) == {sid: sum(1 << n for n in after)
+                                           for sid, after in reach.items()}
     facts = range(len(task.facts))
     assert {f: m for f in facts
-            if (m := sum(1 << s for s, a in plan.steps.items() if f in a.add))} \
+            if (m := sum(1 << s for s, a in enumerate(plan.steps) if f in a.add))} \
         == {f: m for f, m in plan.producers.items() if m}
     assert {f: m for f in facts
-            if (m := sum(1 << s for s, a in plan.steps.items() if f in a.delete))} \
+            if (m := sum(1 << s for s, a in enumerate(plan.steps) if f in a.delete))} \
         == {f: m for f, m in plan.deleters.items() if m}
 
     assert set(plan.threats) == _threats(plan, reach)
@@ -80,9 +82,9 @@ def _check_plan(task, tables, plan, edges):
         assert feature_value(name, plan, tables) == vector[i]
 
     order, done = linearize(plan), set()
-    assert sorted(order) == sorted(plan.steps)
+    assert sorted(order) == list(range(len(plan.steps)))
     for sid in order:
-        ready = [s for s in plan.steps if s not in done
+        ready = [s for s in range(len(plan.steps)) if s not in done
                  and all(b != s or a in done for a, b in edges)]
         assert sid == min(ready)
         done.add(sid)
@@ -131,7 +133,7 @@ def test_random_refinements_match_brute_force(seed, max_facts, depth):
 
 def _new_step_actions(plan, task, fact, max_copies) -> list[int]:
     """Adders of ``fact`` below the copy bound, counting copies over all steps."""
-    copies = [act.id for act in plan.steps.values()]
+    copies = [act.id for act in plan.steps]
     return [aid for aid in task.adders[fact]
             if max_copies is None or copies.count(aid) < max_copies]
 

@@ -194,6 +194,39 @@ def test_apply_cycle_returns_none():
     assert clash is None
 
 
+def test_ordering_child_shares_unchanged_tuples():
+    task, plan = _real_producer_threat_plan()
+    options = resolvers(plan, plan.threats[0], task)
+    assert sorted(r.kind for r in options) == ["demotion", "promotion"]
+    for r in options:
+        child = apply_resolver(plan, r)
+        assert child.steps is plan.steps
+        assert child.links is plan.links
+        assert child.open_conds is plan.open_conds
+        assert child.after is not plan.after
+
+
+def test_entailed_edge_shares_parent_closure():
+    # a0 precedes every step, so supporting the goal from a0 adds no ordering
+    task = make_task(2, [], {0}, {0})
+    plan = null_plan(task)
+    (r,) = resolvers(plan, OpenCondition(0, GOAL_STEP), task)
+    child = apply_resolver(plan, r)
+    assert child.after is plan.after
+    assert len(child.links) == 1
+
+
+def test_resolver_for_closed_condition_keeps_open_conditions():
+    task = make_task(2, [], {0, 1}, {0, 1})
+    plan = null_plan(task)
+    (r,) = resolvers(plan, OpenCondition(0, GOAL_STEP), task)
+    child = apply_resolver(plan, r)
+    assert child.open_conds == (OpenCondition(1, GOAL_STEP),)
+    # (0, a_inf) is no longer open: applying its resolver again removes nothing
+    again = apply_resolver(child, r)
+    assert again.open_conds == child.open_conds
+
+
 # ── linearize / makespan / validate ──────────────────────────────────────────
 
 def _two_chain_task(extra_dep_on_a3=False):
@@ -221,7 +254,7 @@ def test_makespan_two_parallel_chains():
 def test_earliest_slot_of_dependent_action():
     plan = solve(_two_chain_task(extra_dep_on_a3=True))
     slots = earliest_slots(plan)
-    a5 = next(sid for sid, act in plan.steps.items() if act.name == "a4")
+    a5 = next(sid for sid, act in enumerate(plan.steps) if act.name == "a4")
     assert slots[a5] == 1
 
 
@@ -238,7 +271,7 @@ def test_makespan_total_chain(chain_task):
 
 
 def _is_total_chain(plan):
-    real = [s for s in plan.steps if s not in (INIT_STEP, GOAL_STEP)]
+    real = [s for s in range(len(plan.steps)) if s not in (INIT_STEP, GOAL_STEP)]
     return all(plan.ordered(a, b) or plan.ordered(b, a)
                for i, a in enumerate(real) for b in real[i + 1:])
 
@@ -260,7 +293,7 @@ def test_linearize_empty_plan():
 
 def test_linearizations_respect_constraints():
     plan = solve(_two_chain_task())
-    names = {sid: act.name for sid, act in plan.steps.items()}
+    names = {sid: act.name for sid, act in enumerate(plan.steps)}
     rng = Random(42)
     for _ in range(20):
         order = random_linearization(plan, rng)
@@ -304,7 +337,7 @@ def test_causal_link_invariants_along_refinements(gripper2):
             assert link.fact in plan.steps[link.producer].add
             assert link.fact in plan.steps[link.consumer].pre
         # each precondition is either open or supported by exactly one link
-        for sid, act in plan.steps.items():
+        for sid, act in enumerate(plan.steps):
             if sid == INIT_STEP:
                 continue
             for fact in act.pre:
@@ -330,9 +363,9 @@ def test_closure_acyclic_along_random_refinements(gripper2):
             if child is None:
                 continue
             plan = child
-            for sid, mask in plan.after.items():
+            for sid, mask in enumerate(plan.after):
                 assert not (mask >> sid) & 1          # no self-loop in the closure
-                for other in plan.steps:
+                for other in range(len(plan.steps)):
                     if (mask >> other) & 1:
                         assert not plan.ordered(other, sid)   # antisymmetric
             assert len(linearize(plan)) == len(plan.steps)    # total topological cover

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from poclkit.heuristics import build_tables
+from poclkit.plans import format_plan
 from poclkit.search import EnhancedEvaluator, FeatureEvaluator, SearchLimits, gbfs
 from poclkit.tuning import (ErrorTracker, TraceRow, read_trace, replay_telescoping,
                             step_error, write_trace)
@@ -184,3 +185,33 @@ def test_zero_observation_tracker_ranks_identically():
     assert plans
     for plan in plans:
         assert wrapped.rank(plan) == raw.rank(plan)
+
+
+class _FrozenTracker(ErrorTracker):
+    """A tracker whose average stays where it starts: ``observe`` does nothing."""
+
+    def observe(self, error: float) -> None:
+        pass
+
+
+def _fingerprint(result):
+    text = format_plan(result.plan) if result.solved else None
+    return result.outcome, text, result.visited, result.generated
+
+
+@pytest.mark.parametrize("problem", ["gripper-3.pddl", "blocks-4.pddl"])
+@pytest.mark.parametrize("feature", ["h_add", "h_add_r"])
+def test_frozen_tracker_reproduces_raw_search(problem, feature):
+    # one epsilon for every node makes h / (1 - epsilon) a monotone rescale,
+    # so a tracker frozen at 0.5 cannot reorder the queue
+    domain = "gripper.pddl" if problem.startswith("gripper") else "blocks.pddl"
+    task = load_fixture_task(domain, problem)
+    tables = build_tables(task)
+    frozen = _FrozenTracker(error_sum=0.5, observations=1)
+    assert frozen.epsilon == 0.5
+    limits = SearchLimits(6000, 30.0)   # solves gripper-3 h_add and blocks-4 h_add_r
+    raw = gbfs(task, FeatureEvaluator(feature, tables), "mw-loc", limits, tables)
+    enhanced = gbfs(task, EnhancedEvaluator(FeatureEvaluator(feature, tables), frozen),
+                    "mw-loc", limits, tables)
+    assert frozen.epsilon == 0.5
+    assert _fingerprint(enhanced) == _fingerprint(raw)
