@@ -284,6 +284,8 @@ def load_model(path: str) -> LinearModel:
         except json.JSONDecodeError as exc:
             raise MalformedModelError(f"{path}: not valid JSON ({exc})") from exc
 
+    if not isinstance(doc, dict):
+        raise MalformedModelError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     for key in ("mask", "weights", "intercept"):
         if key not in doc:
             raise MalformedModelError(f"{path}: missing field {key!r}", key)
@@ -293,7 +295,7 @@ def load_model(path: str) -> LinearModel:
     weights = doc["weights"]
     if not isinstance(weights, list) or len(weights) != len(names):
         raise MalformedModelError(
-            f"{path}: weights length {len(weights)} != mask length {len(names)}", "weights")
+            f"{path}: weights must list one number per mask entry ({len(names)})", "weights")
     try:
         weights = tuple(float(w) for w in weights)
         intercept = float(doc["intercept"])
@@ -336,11 +338,16 @@ def load_dataset(path: str, domain_name: str = "", base_heuristic: str = "",
         if header is None or tuple(header) != DATASET_HEADER:
             raise DatasetError(f"{path}: expected header {','.join(DATASET_HEADER)}")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             if len(row) != len(DATASET_HEADER):
-                raise DatasetError(f"{path}: row with {len(row)} columns")
-            values = [float(v) for v in row[:-1]]
-            instances.append(TrainingInstance(FeatureVector(*values), int(float(row[-1]))))
-    dataset = Dataset(domain_name, base_heuristic, instances, rng_seed)
+                raise DatasetError(f"{where}: row with {len(row)} columns")
+            try:
+                *values, target = map(float, row)
+            except ValueError as exc:
+                raise DatasetError(f"{where}: {exc}") from exc
+            if not (math.isfinite(target) and target.is_integer()):
+                raise DatasetError(f"{where}: target {row[-1]!r} is not a whole number")
+            instances.append(TrainingInstance(FeatureVector(*values), int(target)))
     if not instances:
         raise EmptyDatasetError(f"{path}: no instances")
-    return dataset
+    return Dataset(domain_name, base_heuristic, instances, rng_seed)

@@ -8,7 +8,7 @@ grounding. Errors carry ``file:line:col`` positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 SUPPORTED_REQUIREMENTS = frozenset({":strips", ":typing", ":equality"})
 ROOT_TYPE = "object"
@@ -97,6 +97,7 @@ class ProblemAst:
     objects: tuple[TypedName, ...]
     init: tuple[Atom, ...]   # source order preserved
     goal: tuple[Atom, ...]
+    filename: str = field(default="<problem>", compare=False)   # where it was parsed from
 
 
 # ── Tokenizer / s-expression reader ──────────────────────────────────────────
@@ -439,21 +440,20 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
 
     if not domain_name:
         raise ParseError("problem is missing (:domain ...)", filename, root.line, root.col)
-    return ProblemAst(name, domain_name, objects, tuple(init), tuple(goal))
+    return ProblemAst(name, domain_name, objects, tuple(init), tuple(goal), filename)
 
 
-def check_problem(domain: DomainAst, problem: ProblemAst, filename: str = "<problem>") -> None:
+def check_problem(domain: DomainAst, problem: ProblemAst) -> None:
     """Validate a problem against its domain: names, arities, declared objects."""
+    filename = problem.filename
     if problem.domain_name != domain.name:
         raise UndeclaredNameError(
             f"problem declares domain {problem.domain_name}, expected {domain.name}", filename)
-    all_names = [c.name for c in domain.constants] + [o.name for o in problem.objects]
-    seen: set[str] = set()
-    for n in all_names:
-        if n in seen:
+    known: set[str] = set()
+    for n in [c.name for c in domain.constants] + [o.name for o in problem.objects]:
+        if n in known:
             raise UndeclaredNameError(f"duplicate object name {n}", filename)
-        seen.add(n)
-    known = {o.name for o in problem.objects} | {c.name for c in domain.constants}
+        known.add(n)
     arity = {p: len(params) for p, params in domain.predicates}
     for where, atoms in (("init", problem.init), ("goal", problem.goal)):
         for atom in atoms:

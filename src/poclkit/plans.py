@@ -6,9 +6,11 @@ plan and never mutates its input; children share every container they do not
 change. The ordering closure, one "comes after" bitmask per step updated
 incrementally on edge insertion, is the only ordering structure: the
 linearizations and the schedule read their edges from it, which is sound
-because the closure has the same reachability as the inserted edges. Two
-fact -> step bitmasks (which steps add, which delete each fact) turn the reuse
-and threat tests into mask operations against the closure.
+because the closure has the same reachability as the inserted edges. One
+fact -> step bitmask, ``producers``, makes the reuse test a mask operation;
+threats are found by scanning the steps (new link) or the links (new step).
+Every evaluation reads ``producers``: scanning the steps there instead kept
+the plans but slowed the suite-reuse benchmark from 0.62 s to 0.79 s.
 
 Step 0 is the initial dummy (adds the initial state), step 1 the goal dummy
 (whose preconditions are the goal); real steps are numbered from 2, and ids
@@ -69,7 +71,6 @@ class PartialPlan:
     after: tuple[int, ...]                    # step id -> bitmask of steps strictly after it;
                                               # the transitive closure, the one ordering record
     producers: dict[int, int]                 # fact -> bitmask of steps adding it
-    deleters: dict[int, int]                  # fact -> bitmask of steps deleting it
     links: tuple[CausalLink, ...]             # in introduction order, oldest first
     open_conds: tuple[OpenCondition, ...]     # in introduction order, oldest first
     threats: tuple[Threat, ...]               # in introduction order, oldest first
@@ -132,12 +133,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _threats_on_link(after: tuple[int, ...], deleters: dict[int, int],
+def _threats_on_link(after: tuple[int, ...], steps: tuple[GroundAction, ...],
                      link: CausalLink) -> list[Threat]:
     """Live threats on ``link``, ascending by threatening step."""
     p, q, c = link
-    candidates = deleters.get(q, 0) & ~((1 << p) | (1 << c) | after[c])
-    return [Threat(t, link) for t in _bits(candidates) if not (after[t] >> p) & 1]
+    skip = (1 << p) | (1 << c) | after[c]
+    return [Threat(t, link) for t, act in enumerate(steps)
+            if q in act.delete and not (skip >> t) & 1 and not (after[t] >> p) & 1]
 
 
 def _threats_by_step(after: tuple[int, ...], sid: int, act: GroundAction,
@@ -172,7 +174,6 @@ def null_plan(task: GroundTask) -> PartialPlan:
         steps=(init_action(task), goal_action(task)),
         after=(1 << GOAL_STEP, 0),
         producers=dict.fromkeys(task.init, 1 << INIT_STEP),
-        deleters={},
         links=(),
         open_conds=tuple(OpenCondition(g, GOAL_STEP) for g in task.goal),
         threats=(),
@@ -234,7 +235,6 @@ def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPla
             steps=plan.steps,
             after=after,
             producers=plan.producers,
-            deleters=plan.deleters,
             links=plan.links,
             open_conds=plan.open_conds,
             threats=tuple(th for th in plan.threats if _threat_live(after, th)),
@@ -248,12 +248,11 @@ def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPla
             return None
         link = CausalLink(p, q, c)
         threats = [th for th in plan.threats if _threat_live(after, th)]
-        threats += _threats_on_link(after, plan.deleters, link)
+        threats += _threats_on_link(after, plan.steps, link)
         return PartialPlan(
             steps=plan.steps,
             after=after,
             producers=plan.producers,
-            deleters=plan.deleters,
             links=plan.links + (link,),
             open_conds=_without(plan.open_conds, OpenCondition(q, c)),
             threats=tuple(threats),
@@ -272,20 +271,14 @@ def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPla
     producers = dict(plan.producers)
     for f in act.add:
         producers[f] = producers.get(f, 0) | bit
-    deleters = plan.deleters
-    if act.delete:
-        deleters = dict(deleters)
-        for f in act.delete:
-            deleters[f] = deleters.get(f, 0) | bit
     link = CausalLink(sid, q, c)
     fresh = _threats_by_step(after, sid, act, plan.links)
-    fresh += _threats_on_link(after, deleters, link)
+    fresh += _threats_on_link(after, plan.steps, link)   # the fresh step is the producer
     fresh.sort(key=_threat_sort_key)
     return PartialPlan(
         steps=plan.steps + (act,),
         after=after,
         producers=producers,
-        deleters=deleters,
         links=plan.links + (link,),
         open_conds=_without(plan.open_conds, OpenCondition(q, c))
         + tuple([OpenCondition(f, sid) for f in act.pre]),

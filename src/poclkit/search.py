@@ -165,13 +165,12 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
     trace: list[TraceRow] = []
     if record_trace:
         trace.append(TraceRow(0, -1, h0, plan0.action_count))
-    generated = 1
+    generated = 1    # also the next node id; ids are unique, so entries never compare plans
     visited = 0
-    seq = 0    # id of the newest generated node; unique, so entries never compare plans
     rank0 = tracker.enhance(h0) if tracker is not None else h0
     # (rank, action count, node id, plan, raw rank)
     heap: list[tuple[float, int, int, PartialPlan, float]] = \
-        [(rank0, plan0.action_count, seq, plan0, h0)]
+        [(rank0, plan0.action_count, 0, plan0, h0)]
     generated_plans: list[PartialPlan] = []
 
     def finish(outcome: str, plan: Optional[PartialPlan] = None,
@@ -213,13 +212,13 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
         for i, child in enumerate(children):
             if generated >= limits.max_generated:
                 return finish("limit-hit")
+            child_id = generated
             generated += 1
-            seq += 1
             if record_trace:
-                trace.append(TraceRow(seq, node_id, raws[i], child.action_count,
+                trace.append(TraceRow(child_id, node_id, raws[i], child.action_count,
                                       i == best_i))
             if collect_generated:
                 generated_plans.append(child)
-            heapq.heappush(heap, (ranks[i], child.action_count, seq, child, raws[i]))
+            heapq.heappush(heap, (ranks[i], child.action_count, child_id, child, raws[i]))
 
     return finish("exhausted")

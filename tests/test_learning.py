@@ -4,21 +4,22 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from random import Random
 
 import pytest
 
-from poclkit import learning
+from poclkit import cli, learning
 from poclkit.heuristics import FEATURE_NAMES, FeatureVector, build_tables, feature_vector
-from poclkit.learning import (Dataset, DatasetConfig, DegenerateDatasetError, DrawRecord,
-                              EmptyDatasetError, LinearModel, MalformedModelError,
+from poclkit.learning import (Dataset, DatasetConfig, DatasetError, DegenerateDatasetError,
+                              DrawRecord, EmptyDatasetError, LinearModel, MalformedModelError,
                               TrainingInstance, correlation_select, fit_linear,
                               generate_dataset, load_dataset, load_model,
                               save_dataset, save_model)
 from poclkit.plans import format_plan, is_solution, null_plan
 from poclkit.search import FeatureEvaluator, SearchLimits, gbfs, select_flaw
 
-from conftest import live_plans, load_fixture_task, make_task
+from conftest import fixture_path, live_plans, load_fixture_task, make_task
 from oracles import ols_line
 
 INF = math.inf
@@ -375,6 +376,20 @@ def test_model_unknown_feature_rejected(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("doc", [3, None, ["mask", "weights", "intercept"],
+                                 {"mask": ["h_add"], "weights": 1.0, "intercept": 0.0}])
+def test_model_of_wrong_shape_rejected(tmp_path, capsys, doc):
+    path = str(tmp_path / "shape.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(MalformedModelError, match=re.escape(path)):
+        load_model(path)
+    code = cli.main(["solve", fixture_path("gripper.pddl"), fixture_path("gripper-1.pddl"),
+                     "--eval", f"model:{path}"])
+    assert code == cli.EXIT_INPUT
+    assert path in capsys.readouterr().err
+
+
 def test_hand_written_model_predicts(tmp_path):
     path = str(tmp_path / "hand.json")
     with open(path, "w") as fh:
@@ -396,3 +411,26 @@ def test_dataset_csv_round_trip(tmp_path):
     back = load_dataset(path)
     assert [i.features for i in back.instances] == [i.features for i in instances]
     assert [i.target for i in back.instances] == [7, 2]
+
+
+def _write_dataset(path, targets):
+    with open(path, "w") as fh:
+        fh.write(",".join(learning.DATASET_HEADER) + "\n")
+        for i, target in enumerate(targets):
+            fh.write(f"{i},1,2,3,4,5,{target}\n")
+
+
+def test_dataset_whole_number_targets_accepted(tmp_path):
+    path = str(tmp_path / "data.csv")
+    _write_dataset(path, ["3", "3.0", "0"])
+    assert [i.target for i in load_dataset(path).instances] == [3, 3, 0]
+
+
+@pytest.mark.parametrize("target", ["inf", "nan", "2.5"])
+def test_dataset_target_not_a_whole_number_rejected(tmp_path, capsys, target):
+    path = str(tmp_path / "data.csv")
+    _write_dataset(path, ["3", target])
+    with pytest.raises(DatasetError, match=re.escape(f"{path}:3: target")):
+        load_dataset(path)
+    assert cli.main(["learn", "fit", path, "--out", str(tmp_path / "m.json")]) == cli.EXIT_INPUT
+    assert f"{path}:3: target" in capsys.readouterr().err

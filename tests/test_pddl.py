@@ -183,6 +183,22 @@ def test_duplicate_object_names_rejected():
         ground(domain, parse_problem(text))
 
 
+@pytest.mark.parametrize("old,new", [("(at-robby rooma)", "(at-robby roomz)"),
+                                     ("(:domain gripper)", "(:domain grippy)")])
+def test_problem_check_errors_name_the_problem_file(tmp_path, capsys, old, new):
+    with open(fixture_path("gripper-1.pddl")) as fh:
+        text = fh.read()
+    assert old in text
+    path = str(tmp_path / "bad-problem.pddl")
+    with open(path, "w") as fh:
+        fh.write(text.replace(old, new))
+    with pytest.raises(UndeclaredNameError) as err:
+        ground(load_domain(fixture_path("gripper.pddl")), load_problem(path))
+    assert str(err.value).startswith(f"{path}:")
+    assert cli.main(["solve", fixture_path("gripper.pddl"), path]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {path}:")
+
+
 # ── Grounding ────────────────────────────────────────────────────────────────
 
 def _gripper2():

@@ -2,7 +2,7 @@
 
 Random refinements of small random tasks are checked against brute-force
 scans over ``plan.steps`` and ``plan.links`` and against an ordering edge set
-the test keeps itself, so the closure and the fact -> step masks are never
+the test keeps itself, so the closure and the fact -> step mask are never
 trusted to check themselves.
 """
 
@@ -49,8 +49,7 @@ def _threats(plan, reach) -> set:
 
 def _snapshot(plan):
     return (dict(enumerate(plan.steps)), dict(enumerate(plan.after)),
-            dict(plan.producers), dict(plan.deleters),
-            plan.links, plan.open_conds, plan.threats, plan.newest_step)
+            dict(plan.producers), plan.links, plan.open_conds, plan.threats, plan.newest_step)
 
 
 def _check_plan(task, tables, plan, edges):
@@ -61,9 +60,6 @@ def _check_plan(task, tables, plan, edges):
     assert {f: m for f in facts
             if (m := sum(1 << s for s, a in enumerate(plan.steps) if f in a.add))} \
         == {f: m for f, m in plan.producers.items() if m}
-    assert {f: m for f in facts
-            if (m := sum(1 << s for s, a in enumerate(plan.steps) if f in a.delete))} \
-        == {f: m for f, m in plan.deleters.items() if m}
 
     assert set(plan.threats) == _threats(plan, reach)
     assert len(set(plan.threats)) == len(plan.threats)
