@@ -2,9 +2,11 @@
 
 Per-problem scores for quality, nodes, and makespan are best/value ratios;
 time gets full score at or under one second and falls off logarithmically.
-Unsolved rows score zero everywhere. Cells run isolated in a worker pool and
-the report is assembled in (problem, evaluator) order, so results do not
-depend on completion order.
+Unsolved rows score zero everywhere. Each problem is one job: it is parsed,
+grounded and tabulated once, and its evaluators' cells run in turn on that
+task and those tables. Jobs run in a worker pool, so parallelism is across
+problems, not cells; the report is assembled in (problem, evaluator) order,
+so results do not depend on completion order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .grounding import load_task
+from .grounding import GroundTask, load_task
 from .heuristics import FEATURE_NAMES, CostTables, build_tables
 from .learning import load_model
 from .plans import format_plan
@@ -161,18 +163,37 @@ def parse_suite_config(text: str, base_dir: str = ".") -> SuiteConfig:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown flaw strategy {strategy!r}")
 
+    def number(key: str, parse, default, ok, need: str):
+        """The value of ``key`` read by ``parse``, or ``default`` when absent;
+        an unreadable value or one failing ``ok`` is an error naming the line."""
+        if key not in values:
+            return default
+        try:
+            value = parse(values[key])
+            bad = not ok(value)
+        except ValueError:
+            bad = True
+        if bad:
+            raise ValueError(f"suite config line {key_lines[key]}: {key} must be {need}, "
+                             f"got {values[key]!r}")
+        return value
+
+    def positive(n) -> bool:
+        return n > 0
+
     return SuiteConfig(
         domain=rebase(values["domain"]),
         problems=list(problems),
         evaluators=list(evaluators),
         strategy=strategy,
-        max_generated=int(values.get("max_nodes", 1_000_000)),
-        wall_time=float(values.get("timeout", 900.0)),
+        max_generated=number("max_nodes", int, 1_000_000, positive, "a positive integer"),
+        wall_time=number("timeout", float, 900.0, positive, "a positive number"),
         out_dir=rebase(values.get("out_dir", "bench-out")),
-        rng_seed=int(values.get("seed", 0)),
-        workers=int(values.get("workers", 0)),
-        max_copies=None if values.get("max_copies", "2") == "none"
-        else int(values.get("max_copies", 2)),
+        rng_seed=number("seed", int, 0, lambda n: True, "an integer"),
+        workers=number("workers", int, 0, lambda n: n >= 0,
+                       "0 (one per logical core) or a positive integer"),
+        max_copies=number("max_copies", lambda v: None if v == "none" else int(v), 2,
+                          lambda n: n is None or n > 0, "a positive integer or none"),
     )
 
 
@@ -208,17 +229,12 @@ def _problem_name(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _run_cell(args: tuple) -> CellResult:
-    domain_path, problem_path, eval_spec, strategy, max_generated, wall_time, max_copies = args
-    problem_name = _problem_name(problem_path)
+def _run_cell(task: GroundTask, tables: CostTables, problem_name: str, eval_spec: str,
+              strategy: str, limits: SearchLimits, max_copies: Optional[int]) -> CellResult:
     try:
-        task = load_task(domain_path, problem_path)
-        tables = build_tables(task)
         evaluator = build_evaluator(eval_spec, tables)
         start = time.monotonic()
-        result = gbfs(task, evaluator, strategy,
-                      SearchLimits(max_generated, wall_time), tables,
-                      max_copies=max_copies)
+        result = gbfs(task, evaluator, strategy, limits, tables, max_copies=max_copies)
         elapsed = time.monotonic() - start
         if result.solved:
             return CellResult(problem_name, eval_spec, True, result.plan_length,
@@ -228,8 +244,26 @@ def _run_cell(args: tuple) -> CellResult:
                           result.visited, result.generated, error=result.outcome)
     except Exception as exc:  # a failing cell must not abort the suite
         log.warning("cell %s/%s failed: %s", problem_name, eval_spec, exc)
-        return CellResult(problem_name, eval_spec, False, None, None, 0.0, 0, 0,
-                          error=str(exc))
+        return _error_row(problem_name, eval_spec, exc)
+
+
+def _error_row(problem_name: str, eval_spec: str, exc: Exception) -> CellResult:
+    return CellResult(problem_name, eval_spec, False, None, None, 0.0, 0, 0, error=str(exc))
+
+
+def _run_problem(args: tuple) -> list[CellResult]:
+    """One problem's cells, one per evaluator in order, on one loaded task and
+    its cost tables: searches read both and change neither."""
+    domain_path, problem_path, eval_specs, strategy, limits, max_copies = args
+    problem_name = _problem_name(problem_path)
+    try:
+        task = load_task(domain_path, problem_path)
+        tables = build_tables(task)
+    except Exception as exc:  # a failing problem must not abort the suite
+        log.warning("problem %s failed to load: %s", problem_name, exc)
+        return [_error_row(problem_name, spec, exc) for spec in eval_specs]
+    return [_run_cell(task, tables, problem_name, spec, strategy, limits, max_copies)
+            for spec in eval_specs]
 
 
 def _score_rows(rows: list[CellResult]) -> None:
@@ -296,17 +330,17 @@ def run_suite(config: SuiteConfig) -> ScoreReport:
         if name in paths:
             raise ValueError(f"problems {paths[name]} and {problem} share the name {name!r}")
         paths[name] = problem
-    cells = [(config.domain, problem, evaluator, config.strategy,
-              config.max_generated, config.wall_time, config.max_copies)
-             for problem in config.problems
-             for evaluator in config.evaluators]
+    limits = SearchLimits(config.max_generated, config.wall_time)
+    jobs = [(config.domain, problem, config.evaluators, config.strategy, limits,
+             config.max_copies) for problem in config.problems]
 
     workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
-    if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell, cells))
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            results = list(pool.map(_run_problem, jobs))
     else:
-        rows = [_run_cell(cell) for cell in cells]
+        results = [_run_problem(job) for job in jobs]
+    rows = [row for cells in results for row in cells]
 
     _score_rows(rows)
     aggregates = _aggregate(rows, config.evaluators)

@@ -39,6 +39,23 @@ def _configure_logging() -> None:
     logger.setLevel(level)
 
 
+def _positive(parse):
+    """An argparse type: ``parse`` the text and require a value above zero,
+    so a limit that no search could meet is a usage error."""
+    what = "integer" if parse is int else "number"
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            ok = value > 0
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"expected a positive {what}, got {text!r}")
+        return value
+    return convert
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pocl",
                                      description="Plan-space planner with learned heuristics")
@@ -51,8 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="|".join(map(bench.shorthand, FEATURE_NAMES))
                        + "|model:FILE[:enhanced]")
     solve.add_argument("--flaws", choices=STRATEGIES, default="mw-loc")
-    solve.add_argument("--max-nodes", type=int, default=1_000_000)
-    solve.add_argument("--timeout", type=float, default=900.0)
+    solve.add_argument("--max-nodes", type=_positive(int), default=1_000_000)
+    solve.add_argument("--timeout", type=_positive(float), default=900.0)
     solve.add_argument("--plan-out", default=None)
 
     learn = sub.add_parser("learn", help="dataset preparation and model fitting")
@@ -63,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dataset.add_argument("problems", nargs="+")
     dataset.add_argument("--base", choices=[bench.shorthand(f) for f in learning.BASE_FEATURES],
                          default="add")
-    dataset.add_argument("--seeds-per-problem", type=int, default=10)
+    dataset.add_argument("--seeds-per-problem", type=_positive(int), default=10)
     dataset.add_argument("--seed", type=int, default=0)
     dataset.add_argument("--out", required=True)
 

@@ -18,6 +18,13 @@ are contiguous. The steps and the closure are tuples indexed by step id; the
 causal links and open conditions are tuples in the order they were
 introduced. A child is built from slices and concatenations of its parent's
 tuples, and a child that does not change one shares the parent's object.
+
+The new-step children of one open condition, one per adding action, differ
+only in the action. They share one base, built once: the closure, the new
+causal link and the links tuple, the open conditions less the supported one,
+and the threats on the new link. Each child builds only its steps, its
+``producers``, its action's preconditions as open conditions and the threats
+its step poses to existing links.
 """
 
 from __future__ import annotations
@@ -209,7 +216,7 @@ def resolvers(plan: PartialPlan, flaw: Flaw, task: GroundTask,
 
     q, c = flaw
     for sid in _bits(plan.producers.get(q, 0) & ~((1 << c) | plan.after[c])):
-        out.append(Resolver("reuse", fact=q, consumer=c, producer=sid))
+        out.append(Resolver("reuse", q, c, sid))
     # Only copies of q's adders are compared with the bound, and every step
     # holding one adds q: the producers of q other than a0 are the steps to count.
     copies: dict[int, int] = {}
@@ -220,8 +227,55 @@ def resolvers(plan: PartialPlan, flaw: Flaw, task: GroundTask,
     for aid in task.adders[q]:
         if max_copies is not None and copies.get(aid, 0) >= max_copies:
             continue
-        out.append(Resolver("new-step", fact=q, consumer=c, action=task.actions[aid]))
+        out.append(Resolver("new-step", q, c, None, task.actions[aid]))
     return out
+
+
+class _NewStepBase(NamedTuple):
+    """What every new-step child of one open condition ``(fact, consumer)``
+    of ``plan`` shares, whichever action the new step is."""
+    plan: PartialPlan
+    fact: int
+    consumer: int
+    after: tuple[int, ...]
+    links: tuple[CausalLink, ...]
+    open_conds: tuple[OpenCondition, ...]     # the parent's, less (fact, consumer)
+    on_link: list[Threat]                     # live threats on the new link
+    threats: tuple[Threat, ...]               # the parent's plus ``on_link``
+
+
+# The base of the last new-step child made. ``expand`` applies all resolvers
+# of one flaw in a row, so the siblings after the first find their base here.
+# The entry holds its plan, so matching it with ``is`` can never confuse a
+# plan with a later one at the same address; the entry is immutable and
+# replaced whole, so a stale read only costs a recomputation.
+_last_base: Optional[_NewStepBase] = None
+
+
+def _new_step_base(plan: PartialPlan, q: int, c: int) -> _NewStepBase:
+    """The shared part of a new-step child supporting ``(q, c)`` in ``plan``.
+
+    A fresh step sits after a0 and before a_inf and c: it cannot close a
+    cycle, and it orders no pair of existing steps, so every old threat
+    stays live, and it is the new link's producer, so it never threatens
+    that link.
+    """
+    global _last_base
+    base = _last_base
+    if base is not None and base.plan is plan and base.fact == q and base.consumer == c:
+        return base
+    sid = len(plan.steps)
+    after = list(plan.after)
+    after.append((1 << GOAL_STEP) | (1 << c) | after[c])
+    after[INIT_STEP] |= 1 << sid
+    after = tuple(after)
+    link = CausalLink(sid, q, c)
+    on_link = _threats_on_link(after, plan.steps, link)
+    base = _last_base = _NewStepBase(
+        plan, q, c, after, plan.links + (link,),
+        _without(plan.open_conds, OpenCondition(q, c)),
+        on_link, plan.threats + tuple(on_link))
+    return base
 
 
 def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPlan]:
@@ -258,31 +312,25 @@ def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPla
             threats=tuple(threats),
         )
 
-    # A fresh step sits after a0 and before a_inf and c: it cannot close a
-    # cycle, and it orders no pair of existing steps, so every old threat
-    # stays live.
     act = resolver.action
+    base = _new_step_base(plan, q, c)
     sid = len(plan.steps)
     bit = 1 << sid
-    after = list(plan.after)
-    after.append((1 << GOAL_STEP) | (1 << c) | after[c])
-    after[INIT_STEP] |= bit
-    after = tuple(after)
     producers = dict(plan.producers)
     for f in act.add:
         producers[f] = producers.get(f, 0) | bit
-    link = CausalLink(sid, q, c)
-    fresh = _threats_by_step(after, sid, act, plan.links)
-    fresh += _threats_on_link(after, plan.steps, link)   # the fresh step is the producer
-    fresh.sort(key=_threat_sort_key)
+    by_step = _threats_by_step(base.after, sid, act, plan.links)
+    if by_step:
+        threats = plan.threats + tuple(sorted(by_step + base.on_link, key=_threat_sort_key))
+    else:
+        threats = base.threats
     return PartialPlan(
         steps=plan.steps + (act,),
-        after=after,
+        after=base.after,
         producers=producers,
-        links=plan.links + (link,),
-        open_conds=_without(plan.open_conds, OpenCondition(q, c))
-        + tuple([OpenCondition(f, sid) for f in act.pre]),
-        threats=plan.threats + tuple(fresh),
+        links=base.links,
+        open_conds=base.open_conds + tuple([OpenCondition(f, sid) for f in act.pre]),
+        threats=threats,
     )
 
 

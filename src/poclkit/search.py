@@ -98,7 +98,8 @@ def select_flaw(plan: PartialPlan, strategy: str, tables: CostTables) -> Flaw:
     if plan.threats:
         return plan.threats[-1]
     cost = (tables.plain if strategy == "mc-loc" else tables.effort).fact_cost
-    local = [oc for oc in plan.open_conds if oc.consumer == plan.newest_step]
+    newest = plan.newest_step
+    local = [oc for oc in plan.open_conds if oc.consumer == newest]
     return min(local or plan.open_conds, key=lambda oc: (-cost[oc.fact], oc.fact, oc.consumer))
 
 
@@ -119,12 +120,12 @@ def expand(plan: PartialPlan, task: GroundTask, strategy, tables: CostTables,
     return children
 
 
-def _best_index(ranks: list[float], children: list[PartialPlan]) -> int:
-    """Argmin by rank; ties by fewer actions, then by insertion order."""
+def _best_index(ranks: list[float], counts: list[int]) -> int:
+    """Argmin by rank; ties by fewer actions (``counts``), then by insertion order."""
     best_i = 0
-    best_key = (ranks[0], children[0].action_count)
-    for i in range(1, len(children)):
-        key = (ranks[i], children[i].action_count)
+    best_key = (ranks[0], counts[0])
+    for i in range(1, len(ranks)):
+        key = (ranks[i], counts[i])
         if key < best_key:
             best_i, best_key = i, key
     return best_i
@@ -132,7 +133,8 @@ def _best_index(ranks: list[float], children: list[PartialPlan]) -> int:
 
 def best_child(children: list[PartialPlan], evaluator) -> PartialPlan:
     """The child with the least ``evaluator.rank``, ties as in :func:`gbfs`."""
-    return children[_best_index([evaluator.rank(ch) for ch in children], children)]
+    return children[_best_index([evaluator.rank(ch) for ch in children],
+                                [ch.action_count for ch in children])]
 
 
 def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
@@ -198,10 +200,12 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
         if not children:
             continue
         raws = [raw_rank(ch) for ch in children]
-        best_i = _best_index(raws, children)
+        counts = [ch.action_count for ch in children]
+        # the best child matters only to the tracker and the trace
+        best_i = _best_index(raws, counts) if tracker is not None or record_trace else -1
 
         if tracker is not None:
-            cost = children[best_i].action_count - plan.action_count
+            cost = counts[best_i] - plan.action_count
             if math.isfinite(h_parent) and math.isfinite(raws[best_i]) \
                     and (cost == 1 or observe_zero_cost):
                 tracker.observe(step_error(h_parent, raws[best_i], float(cost)))
@@ -215,10 +219,9 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
             child_id = generated
             generated += 1
             if record_trace:
-                trace.append(TraceRow(child_id, node_id, raws[i], child.action_count,
-                                      i == best_i))
+                trace.append(TraceRow(child_id, node_id, raws[i], counts[i], i == best_i))
             if collect_generated:
                 generated_plans.append(child)
-            heapq.heappush(heap, (ranks[i], child.action_count, child_id, child, raws[i]))
+            heapq.heappush(heap, (ranks[i], counts[i], child_id, child, raws[i]))
 
     return finish("exhausted")

@@ -10,13 +10,16 @@ import sys
 
 import pytest
 
-from poclkit import cli
+from poclkit import bench, cli
 from poclkit.bench import (SuiteConfig, build_evaluator, makespan_score, nodes_score,
                            parse_suite_config, quality_score, run_suite, time_score,
                            REPORT_HEADER)
+from poclkit.grounding import load_task
 from poclkit.heuristics import build_tables
 from poclkit.learning import LinearModel, save_model
-from poclkit.search import EnhancedEvaluator, FeatureEvaluator, ModelEvaluator
+from poclkit.plans import format_plan
+from poclkit.search import (EnhancedEvaluator, FeatureEvaluator, ModelEvaluator, SearchLimits,
+                            gbfs)
 
 from conftest import fixture_path, load_fixture_task
 
@@ -151,6 +154,35 @@ def test_parse_suite_config_rejects_duplicate_entries(tmp_path, capsys, key, fir
     assert f"repeated {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("max_nodes", "-3"), ("max_nodes", "0"), ("max_nodes", "1.5"), ("timeout", "-1"),
+    ("timeout", "0"), ("timeout", "nan"), ("max_copies", "-1"), ("max_copies", "0"),
+    ("workers", "-1"), ("seed", "x"),
+])
+def test_parse_suite_config_rejects_out_of_range_numbers(tmp_path, capsys, key, value):
+    # a limit no search can meet would run cells that cannot succeed
+    text = (f"domain = {fixture_path('gripper.pddl')}\n"
+            f"problem = {fixture_path('gripper-1.pddl')}\nevaluator = add\n"
+            f"out_dir = {tmp_path / 'out'}\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=rf"line 5: {key} must be .*got '{value}'"):
+        parse_suite_config(text)
+    config_path = tmp_path / "suite.cfg"
+    config_path.write_text(text)
+    assert cli.main(["bench", str(config_path)]) == cli.EXIT_INPUT
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_parse_suite_config_accepts_boundary_numbers():
+    text = ("domain = d.pddl\nproblem = p.pddl\nevaluator = add\n"
+            "max_nodes = 1\ntimeout = 0.5\nmax_copies = 1\nworkers = 0\nseed = -2\n")
+    config = parse_suite_config(text)
+    assert (config.max_generated, config.wall_time, config.max_copies, config.workers,
+            config.rng_seed) == (1, 0.5, 1, 0, -2)
+    assert parse_suite_config(text.replace("max_copies = 1", "max_copies = none")) \
+        .max_copies is None
+
+
 def test_parse_suite_config_rebases_model_paths():
     text = """
     domain = d.pddl
@@ -219,16 +251,17 @@ def test_run_suite_unsolved_rows_score_zero(tmp_path):
     assert report.aggregates["add"]["coverage"] == 0
 
 
-def test_run_suite_parallel_deterministic(tmp_path):
-    def strip_time(path):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        idx = rows[0].index("time_s")
-        return [[v for i, v in enumerate(row) if i != idx] for row in rows]
+def _report_without_time(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    idx = rows[0].index("time_s")
+    return [[v for i, v in enumerate(row) if i != idx] for row in rows]
 
+
+def test_run_suite_parallel_deterministic(tmp_path):
     r1 = run_suite(_suite(tmp_path / "a", workers=2))
     r2 = run_suite(_suite(tmp_path / "b", workers=2))
-    assert strip_time(r1.csv_path) == strip_time(r2.csv_path)
+    assert _report_without_time(r1.csv_path) == _report_without_time(r2.csv_path)
 
 
 def test_run_suite_writes_plan_files(tmp_path):
@@ -245,6 +278,42 @@ def test_run_suite_survives_bad_problem(tmp_path):
     bad = [r for r in report.rows if r.problem == "missing"]
     assert len(bad) == len(config.evaluators)
     assert all(not r.solved and r.error for r in bad)
+
+
+def test_run_suite_loads_each_problem_once(tmp_path, monkeypatch):
+    loads = []
+
+    def counting_load(domain, problem):
+        loads.append(problem)
+        return load_task(domain, problem)
+
+    monkeypatch.setattr(bench, "load_task", counting_load)
+    config = _suite(tmp_path / "serial", evaluators=("add", "oc", "gval"))
+    config.problems.append(str(tmp_path / "missing.pddl"))
+    report = run_suite(config)
+    assert sorted(loads) == sorted(config.problems)
+
+    # each cell as if searched on its own freshly loaded task
+    for row in report.rows:
+        if row.problem == "missing":
+            assert not row.solved and "missing.pddl" in row.error
+            continue
+        task = load_task(config.domain, fixture_path(row.problem + ".pddl"))
+        tables = build_tables(task)
+        result = gbfs(task, build_evaluator(row.evaluator, tables), config.strategy,
+                      SearchLimits(config.max_generated, config.wall_time), tables)
+        assert (row.solved, row.visited, row.generated, row.plan_length, row.makespan,
+                row.plan_text) == (True, result.visited, result.generated,
+                                   result.plan_length, result.makespan,
+                                   format_plan(result.plan))
+    assert [(r.problem, r.evaluator) for r in report.rows] == \
+        [(p, e) for p in ("gripper-1", "gripper-2", "missing") for e in config.evaluators]
+
+    # the pool runs the same jobs and writes the same report
+    config.out_dir = str(tmp_path / "pool" / "out")
+    config.workers = 2
+    pooled = run_suite(config)
+    assert _report_without_time(pooled.csv_path) == _report_without_time(report.csv_path)
 
 
 def test_run_suite_rejects_problems_sharing_a_name(tmp_path, capsys):
@@ -310,6 +379,23 @@ def test_cli_usage_error():
     with pytest.raises(SystemExit) as err:
         cli.main(["solve"])   # missing required arguments
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "D", "P", "--max-nodes", "-5"],
+    ["solve", "D", "P", "--max-nodes", "0"],
+    ["solve", "D", "P", "--timeout", "-1"],
+    ["solve", "D", "P", "--timeout", "0"],
+    ["learn", "dataset", "D", "P", "--seeds-per-problem", "0", "--out", "OUT"],
+])
+def test_cli_non_positive_limits_are_usage_errors(tmp_path, capsys, argv):
+    files = {"D": fixture_path("gripper.pddl"), "P": fixture_path("gripper-1.pddl"),
+             "OUT": str(tmp_path / "data.csv")}
+    with pytest.raises(SystemExit) as err:
+        cli.main([files.get(a, a) for a in argv])
+    assert err.value.code == cli.EXIT_USAGE
+    assert "expected a positive" in capsys.readouterr().err
+    assert not os.path.exists(files["OUT"])
 
 
 def test_cli_learn_dataset_and_fit(tmp_path, capsys):

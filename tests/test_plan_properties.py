@@ -8,15 +8,18 @@ trusted to check themselves.
 
 from __future__ import annotations
 
+import copy
+from dataclasses import fields
 from random import Random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from poclkit.heuristics import FEATURE_NAMES, build_tables, eval_add, feature_value, feature_vector
-from poclkit.plans import (GOAL_STEP, INIT_STEP, OpenCondition, Resolver, apply_resolver,
-                           collect_flaws, is_solution, linearize, null_plan,
+from poclkit.plans import (GOAL_STEP, INIT_STEP, OpenCondition, PartialPlan, Resolver,
+                           apply_resolver, collect_flaws, is_solution, linearize, null_plan,
                            random_linearization, resolvers, step_sequence, validate)
+from poclkit.search import expand
 
 from conftest import random_task
 
@@ -125,6 +128,37 @@ def test_random_refinements_match_brute_force(seed, max_facts, depth):
     if is_solution(plan):
         for _ in range(3):
             assert validate(task, step_sequence(plan, random_linearization(plan, rng)))
+
+
+def _fields(plan) -> tuple:
+    return tuple(getattr(plan, f.name) for f in fields(PartialPlan))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), max_facts=st.integers(3, 10), depth=st.integers(0, 20))
+def test_expand_children_match_cold_applications(seed, max_facts, depth):
+    # ``expand`` applies one flaw's resolvers in a row, so new-step siblings
+    # share their base; each cold application is on a fresh copy of the
+    # plan, which no shared base can match
+    rng = Random(seed)
+    task = random_task(rng, max_facts=max_facts)
+    tables = build_tables(task)
+    plan = null_plan(task)
+    for _ in range(depth):
+        flaws = collect_flaws(plan)
+        if not flaws:
+            break
+        # several flaws of one plan in a row, then their cold counterparts
+        chosen = rng.sample(flaws, min(3, len(flaws)))
+        batches = [expand(plan, task, lambda p, t, flaw=flaw: flaw, tables) for flaw in chosen]
+        for flaw, batch in zip(chosen, batches):
+            cold = [c for r in resolvers(plan, flaw, task)
+                    if (c := apply_resolver(copy.copy(plan), r)) is not None]
+            assert [_fields(c) for c in batch] == [_fields(c) for c in cold]
+        children = [c for batch in batches for c in batch]
+        if not children:
+            break
+        plan = rng.choice(children)
 
 
 def _new_step_actions(plan, task, fact, max_copies) -> list[int]:

@@ -9,7 +9,7 @@ import pytest
 
 from poclkit.grounding import ground
 from poclkit.pddl import load_domain, load_problem
-from poclkit.plans import (GOAL_STEP, INIT_STEP, OpenCondition, Resolver, Threat,
+from poclkit.plans import (GOAL_STEP, INIT_STEP, CausalLink, OpenCondition, Resolver, Threat,
                            apply_resolver, collect_flaws, earliest_slots, format_plan,
                            is_solution, linearize, makespan, null_plan, random_linearization,
                            resolvers, step_sequence, validate)
@@ -204,6 +204,37 @@ def test_ordering_child_shares_unchanged_tuples():
         assert child.links is plan.links
         assert child.open_conds is plan.open_conds
         assert child.after is not plan.after
+
+
+def test_new_step_siblings_share_their_base(gripper2):
+    plan = null_plan(gripper2)
+    flaw = OpenCondition(gripper2.fact_ids["(at ball1 roomb)"], GOAL_STEP)
+    first, second = [apply_resolver(plan, r) for r in resolvers(plan, flaw, gripper2)]
+    assert first.after is second.after
+    assert first.links is second.links
+    assert first.steps[-1] is not second.steps[-1]
+    assert first.producers is not second.producers
+
+
+def test_new_step_on_another_plan_after_a_sibling_batch(gripper2):
+    # two plans with the same open condition: the base of one plan's
+    # new-step children must not leak into the other's
+    plan = null_plan(gripper2)
+    ball1, ball2 = (OpenCondition(gripper2.fact_ids[f"(at {b} roomb)"], GOAL_STEP)
+                    for b in ("ball1", "ball2"))
+    other = apply_resolver(plan, resolvers(plan, ball2, gripper2)[0])
+    assert ball1 in other.open_conds and len(other.steps) == len(plan.steps) + 1
+    batch = [apply_resolver(plan, r) for r in resolvers(plan, ball1, gripper2)]
+    r = resolvers(plan, ball1, gripper2)[0]
+    child = apply_resolver(other, r)
+    sid = len(other.steps)
+    assert child.steps == other.steps + (r.action,)
+    assert child.links == other.links + (CausalLink(sid, ball1.fact, GOAL_STEP),)
+    assert len(child.after) == sid + 1 and child.after is not batch[0].after
+    assert child.ordered(INIT_STEP, sid) and child.ordered(sid, GOAL_STEP)
+    assert child.open_conds == tuple(oc for oc in other.open_conds if oc != ball1) \
+        + tuple(OpenCondition(f, sid) for f in r.action.pre)
+    assert child == apply_resolver(copy.copy(other), r)
 
 
 def test_entailed_edge_shares_parent_closure():
