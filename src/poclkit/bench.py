@@ -2,11 +2,10 @@
 
 Per-problem scores for quality, nodes, and makespan are best/value ratios;
 time gets full score at or under one second and falls off logarithmically.
-Unsolved rows score zero everywhere. Each problem is one job: it is parsed,
-grounded and tabulated once, and its evaluators' cells run in turn on that
-task and those tables. Jobs run in a worker pool, so parallelism is across
-problems, not cells; the report is assembled in (problem, evaluator) order,
-so results do not depend on completion order.
+Unsolved rows score zero everywhere. Cells run isolated in a worker pool and
+the report is assembled in (problem, evaluator) order, so results do not
+depend on completion order. A process parses, grounds and tabulates a problem
+once for the cells it runs of it in a row: all of them when run serially.
 """
 
 from __future__ import annotations
@@ -229,12 +228,33 @@ def _problem_name(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _run_cell(task: GroundTask, tables: CostTables, problem_name: str, eval_spec: str,
-              strategy: str, limits: SearchLimits, max_copies: Optional[int]) -> CellResult:
+# The last problem loaded in this process: ((domain, problem), (task, tables)).
+# Cells run problem by problem, so a problem's later cells find its task and
+# tables here (searches read both and change neither); a pool worker keeps its
+# own. ``run_suite`` empties it before and after a suite, so a suite reads
+# every file anew and leaves no task alive behind it.
+_last_task: Optional[tuple[tuple[str, str], tuple[GroundTask, CostTables]]] = None
+
+
+def _load(domain_path: str, problem_path: str) -> tuple[GroundTask, CostTables]:
+    global _last_task
+    key = (domain_path, problem_path)
+    if _last_task is None or _last_task[0] != key:
+        task = load_task(domain_path, problem_path)
+        _last_task = (key, (task, build_tables(task)))
+    return _last_task[1]
+
+
+def _run_cell(args: tuple) -> CellResult:
+    domain_path, problem_path, eval_spec, strategy, max_generated, wall_time, max_copies = args
+    problem_name = _problem_name(problem_path)
     try:
+        task, tables = _load(domain_path, problem_path)
         evaluator = build_evaluator(eval_spec, tables)
         start = time.monotonic()
-        result = gbfs(task, evaluator, strategy, limits, tables, max_copies=max_copies)
+        result = gbfs(task, evaluator, strategy,
+                      SearchLimits(max_generated, wall_time), tables,
+                      max_copies=max_copies)
         elapsed = time.monotonic() - start
         if result.solved:
             return CellResult(problem_name, eval_spec, True, result.plan_length,
@@ -244,26 +264,8 @@ def _run_cell(task: GroundTask, tables: CostTables, problem_name: str, eval_spec
                           result.visited, result.generated, error=result.outcome)
     except Exception as exc:  # a failing cell must not abort the suite
         log.warning("cell %s/%s failed: %s", problem_name, eval_spec, exc)
-        return _error_row(problem_name, eval_spec, exc)
-
-
-def _error_row(problem_name: str, eval_spec: str, exc: Exception) -> CellResult:
-    return CellResult(problem_name, eval_spec, False, None, None, 0.0, 0, 0, error=str(exc))
-
-
-def _run_problem(args: tuple) -> list[CellResult]:
-    """One problem's cells, one per evaluator in order, on one loaded task and
-    its cost tables: searches read both and change neither."""
-    domain_path, problem_path, eval_specs, strategy, limits, max_copies = args
-    problem_name = _problem_name(problem_path)
-    try:
-        task = load_task(domain_path, problem_path)
-        tables = build_tables(task)
-    except Exception as exc:  # a failing problem must not abort the suite
-        log.warning("problem %s failed to load: %s", problem_name, exc)
-        return [_error_row(problem_name, spec, exc) for spec in eval_specs]
-    return [_run_cell(task, tables, problem_name, spec, strategy, limits, max_copies)
-            for spec in eval_specs]
+        return CellResult(problem_name, eval_spec, False, None, None, 0.0, 0, 0,
+                          error=str(exc))
 
 
 def _score_rows(rows: list[CellResult]) -> None:
@@ -324,23 +326,28 @@ def run_suite(config: SuiteConfig) -> ScoreReport:
     Rows are keyed by the problem's file stem, so two problems with one stem
     are a ``ValueError``.
     """
+    global _last_task
     paths: dict[str, str] = {}
     for problem in config.problems:
         name = _problem_name(problem)
         if name in paths:
             raise ValueError(f"problems {paths[name]} and {problem} share the name {name!r}")
         paths[name] = problem
-    limits = SearchLimits(config.max_generated, config.wall_time)
-    jobs = [(config.domain, problem, config.evaluators, config.strategy, limits,
-             config.max_copies) for problem in config.problems]
+    cells = [(config.domain, problem, evaluator, config.strategy,
+              config.max_generated, config.wall_time, config.max_copies)
+             for problem in config.problems
+             for evaluator in config.evaluators]
 
+    _last_task = None
     workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(_run_problem, jobs))
-    else:
-        results = [_run_problem(job) for job in jobs]
-    rows = [row for cells in results for row in cells]
+    try:
+        if workers > 1 and len(cells) > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_run_cell, cells))
+        else:
+            rows = [_run_cell(cell) for cell in cells]
+    finally:
+        _last_task = None
 
     _score_rows(rows)
     aggregates = _aggregate(rows, config.evaluators)

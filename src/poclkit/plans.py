@@ -74,6 +74,9 @@ class Resolver(NamedTuple):
 
 @dataclass(slots=True)
 class PartialPlan:
+    """A partial plan. It is never changed once built: a refinement is a new
+    plan, and children share the parent's tuples and the new-step base is
+    cached per parent plan (see ``_last_base``), both of which rely on it."""
     steps: tuple[GroundAction, ...]           # indexed by step id
     after: tuple[int, ...]                    # step id -> bitmask of steps strictly after it;
                                               # the transitive closure, the one ordering record
@@ -216,7 +219,7 @@ def resolvers(plan: PartialPlan, flaw: Flaw, task: GroundTask,
 
     q, c = flaw
     for sid in _bits(plan.producers.get(q, 0) & ~((1 << c) | plan.after[c])):
-        out.append(Resolver("reuse", q, c, sid))
+        out.append(Resolver("reuse", fact=q, consumer=c, producer=sid))
     # Only copies of q's adders are compared with the bound, and every step
     # holding one adds q: the producers of q other than a0 are the steps to count.
     copies: dict[int, int] = {}
@@ -227,7 +230,7 @@ def resolvers(plan: PartialPlan, flaw: Flaw, task: GroundTask,
     for aid in task.adders[q]:
         if max_copies is not None and copies.get(aid, 0) >= max_copies:
             continue
-        out.append(Resolver("new-step", q, c, None, task.actions[aid]))
+        out.append(Resolver("new-step", fact=q, consumer=c, action=task.actions[aid]))
     return out
 
 
@@ -248,7 +251,10 @@ class _NewStepBase(NamedTuple):
 # of one flaw in a row, so the siblings after the first find their base here.
 # The entry holds its plan, so matching it with ``is`` can never confuse a
 # plan with a later one at the same address; the entry is immutable and
-# replaced whole, so a stale read only costs a recomputation.
+# replaced whole, so a stale read only costs a recomputation. Matching the
+# plan object is sound because plans are never changed once built. Holding
+# it keeps one plan, the last parent given a new-step child, alive after its
+# children are queued.
 _last_base: Optional[_NewStepBase] = None
 
 

@@ -201,8 +201,7 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
             continue
         raws = [raw_rank(ch) for ch in children]
         counts = [ch.action_count for ch in children]
-        # the best child matters only to the tracker and the trace
-        best_i = _best_index(raws, counts) if tracker is not None or record_trace else -1
+        best_i = _best_index(raws, counts)
 
         if tracker is not None:
             cost = counts[best_i] - plan.action_count

@@ -291,7 +291,8 @@ def test_run_suite_loads_each_problem_once(tmp_path, monkeypatch):
     config = _suite(tmp_path / "serial", evaluators=("add", "oc", "gval"))
     config.problems.append(str(tmp_path / "missing.pddl"))
     report = run_suite(config)
-    assert sorted(loads) == sorted(config.problems)
+    # a problem that fails to load is tried again by each of its cells
+    assert loads == config.problems[:2] + [config.problems[2]] * 3
 
     # each cell as if searched on its own freshly loaded task
     for row in report.rows:
@@ -314,6 +315,21 @@ def test_run_suite_loads_each_problem_once(tmp_path, monkeypatch):
     config.workers = 2
     pooled = run_suite(config)
     assert _report_without_time(pooled.csv_path) == _report_without_time(report.csv_path)
+
+
+def test_run_suite_reads_problem_files_anew_each_suite(tmp_path):
+    # a problem's task is kept between its cells, never between suites
+    problem = tmp_path / "p.pddl"
+    config = _suite(tmp_path, evaluators=("add",))
+    config.problems = [str(problem)]
+    lengths = []
+    for source in ("gripper-1.pddl", "gripper-2.pddl"):
+        with open(fixture_path(source), encoding="utf-8") as fh:
+            problem.write_text(fh.read())
+        lengths.append(run_suite(config).rows[0].plan_length)
+    reference = run_suite(_suite(tmp_path / "ref", evaluators=("add",)))
+    assert lengths == [r.plan_length for r in reference.rows]
+    assert lengths[0] != lengths[1]
 
 
 def test_run_suite_rejects_problems_sharing_a_name(tmp_path, capsys):
