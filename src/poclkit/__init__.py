@@ -9,10 +9,10 @@ from .learning import (Dataset, DatasetConfig, LinearModel, TrainingInstance,
                        save_model)
 from .pddl import DomainAst, ProblemAst, parse_domain, parse_problem
 from .plans import (CausalLink, OpenCondition, PartialPlan, Resolver, Threat, apply_resolver,
-                    collect_flaws, format_plan, is_solution, linearize, makespan, null_plan,
-                    resolvers, validate)
+                    format_plan, is_solution, linearize, makespan, null_plan, resolvers,
+                    validate)
 from .search import (EnhancedEvaluator, FeatureEvaluator, ModelEvaluator, SearchLimits,
-                     SearchResult, best_child, expand, gbfs, select_flaw)
+                     SearchResult, expand, gbfs, select_flaw)
 from .tuning import (ErrorTracker, TraceRow, read_trace, replay_telescoping, step_error,
                      write_trace)
 

@@ -158,11 +158,8 @@ def parse_suite_config(text: str, base_dir: str = ".") -> SuiteConfig:
         raise ValueError("suite config needs at least one problem=")
     if not evaluators:
         raise ValueError("suite config needs at least one evaluator=")
-    strategy = values.get("flaws", "mw-loc")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown flaw strategy {strategy!r}")
 
-    def number(key: str, parse, default, ok, need: str):
+    def setting(key: str, parse, default, ok, need: str):
         """The value of ``key`` read by ``parse``, or ``default`` when absent;
         an unreadable value or one failing ``ok`` is an error naming the line."""
         if key not in values:
@@ -184,15 +181,16 @@ def parse_suite_config(text: str, base_dir: str = ".") -> SuiteConfig:
         domain=rebase(values["domain"]),
         problems=list(problems),
         evaluators=list(evaluators),
-        strategy=strategy,
-        max_generated=number("max_nodes", int, 1_000_000, positive, "a positive integer"),
-        wall_time=number("timeout", float, 900.0, positive, "a positive number"),
+        strategy=setting("flaws", str, "mw-loc", lambda s: s in STRATEGIES,
+                         " or ".join(STRATEGIES)),
+        max_generated=setting("max_nodes", int, 1_000_000, positive, "a positive integer"),
+        wall_time=setting("timeout", float, 900.0, positive, "a positive number"),
         out_dir=rebase(values.get("out_dir", "bench-out")),
-        rng_seed=number("seed", int, 0, lambda n: True, "an integer"),
-        workers=number("workers", int, 0, lambda n: n >= 0,
-                       "0 (one per logical core) or a positive integer"),
-        max_copies=number("max_copies", lambda v: None if v == "none" else int(v), 2,
-                          lambda n: n is None or n > 0, "a positive integer or none"),
+        rng_seed=setting("seed", int, 0, lambda n: True, "an integer"),
+        workers=setting("workers", int, 0, lambda n: n >= 0,
+                        "0 (one per logical core) or a positive integer"),
+        max_copies=setting("max_copies", lambda v: None if v == "none" else int(v), 2,
+                           lambda n: n is None or n > 0, "a positive integer or none"),
     )
 
 

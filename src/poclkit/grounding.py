@@ -22,7 +22,6 @@ class GroundAction:
     pre: frozenset[int]
     add: frozenset[int]
     delete: frozenset[int]
-    cost: int = 1
 
     def __str__(self) -> str:
         return f"({self.name})"

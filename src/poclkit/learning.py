@@ -89,6 +89,16 @@ class DatasetConfig:
     strategy: str = "mw-loc"
     max_copies: Optional[int] = 2
 
+    def __post_init__(self):
+        for name, ok, need in (
+                ("seeds_per_problem", self.seeds_per_problem >= 1, ">= 1"),
+                ("seed_max_generated", self.seed_max_generated >= 1, ">= 1"),
+                ("seed_wall_time", self.seed_wall_time > 0, "> 0"),
+                ("max_copies", self.max_copies is None or self.max_copies >= 1,
+                 "None or >= 1")):
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
+
 
 def generate_dataset(tasks: Sequence[GroundTask], base_heuristic: str,
                      config: Optional[DatasetConfig] = None,
@@ -301,6 +311,8 @@ def load_model(path: str) -> LinearModel:
         intercept = float(doc["intercept"])
     except (TypeError, ValueError) as exc:
         raise MalformedModelError(f"{path}: non-numeric weight or intercept", "weights") from exc
+    if not all(map(math.isfinite, weights + (intercept,))):
+        raise MalformedModelError(f"{path}: weights and intercept must be finite", "weights")
 
     metadata = {
         "domain": doc.get("domain", ""),

@@ -194,13 +194,6 @@ def is_solution(plan: PartialPlan) -> bool:
     return not plan.open_conds and not plan.threats
 
 
-def collect_flaws(plan: PartialPlan) -> list[Flaw]:
-    """All flaws, threats first, each kind sorted by (consumer, fact)."""
-    threats = sorted(plan.threats, key=_threat_sort_key)
-    ocs = sorted(plan.open_conds, key=lambda oc: (oc.consumer, oc.fact))
-    return list(threats) + list(ocs)
-
-
 def resolvers(plan: PartialPlan, flaw: Flaw, task: GroundTask,
               max_copies: Optional[int] = 2) -> list[Resolver]:
     """All refinements removing ``flaw``; empty list means a dead end.

@@ -18,7 +18,7 @@ from typing import Optional
 from .grounding import GroundTask
 from .heuristics import CostTables, build_tables, feature_value, feature_vector
 from .plans import (Flaw, PartialPlan, apply_resolver, is_solution, makespan, null_plan,
-                    resolvers)
+                    resolvers, step_sequence, validate)
 from .tuning import ErrorTracker, TraceRow, step_error
 
 log = logging.getLogger("poclkit.search")
@@ -29,7 +29,14 @@ STRATEGIES = ("mc-loc", "mw-loc")
 @dataclass
 class SearchLimits:
     max_generated: int = 1_000_000    # memory grows with the open list, not this count
-    wall_time: float = 900.0
+    wall_time: float = 900.0          # seconds; math.inf for none
+
+    def __post_init__(self):
+        # a limit no search can meet would end every search after one node
+        if not self.max_generated >= 1:
+            raise ValueError(f"max_generated must be >= 1, got {self.max_generated!r}")
+        if not self.wall_time > 0:
+            raise ValueError(f"wall_time must be > 0, got {self.wall_time!r}")
 
 
 class FeatureEvaluator:
@@ -131,22 +138,16 @@ def _best_index(ranks: list[float], counts: list[int]) -> int:
     return best_i
 
 
-def best_child(children: list[PartialPlan], evaluator) -> PartialPlan:
-    """The child with the least ``evaluator.rank``, ties as in :func:`gbfs`."""
-    return children[_best_index([evaluator.rank(ch) for ch in children],
-                                [ch.action_count for ch in children])]
-
-
 def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
          limits: Optional[SearchLimits] = None, tables: Optional[CostTables] = None,
          root: Optional[PartialPlan] = None, max_copies: Optional[int] = 2,
-         record_trace: bool = False, collect_generated: bool = False,
-         observe_zero_cost: bool = False) -> SearchResult:
+         record_trace: bool = False, collect_generated: bool = False) -> SearchResult:
     """Greedy best-first search from ``root`` (default: the null plan).
 
     Queue order is (rank, action count, FIFO). If the evaluator carries an
-    error tracker, each expansion observes the parent/best-child step error
-    before the children are enqueued with enhanced ranks.
+    error tracker, each expansion whose best child adds a step observes the
+    parent/best-child step error before the children are enqueued with
+    enhanced ranks. A solution that does not re-simulate raises RuntimeError.
 
     The open list holds the only reference to a queued plan, so a visited
     plan is freed once its children are queued and memory grows with the
@@ -182,6 +183,9 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
                               trace=trace, solution_node_id=node_id,
                               generated_plans=generated_plans)
         if plan is not None:
+            if not validate(task, step_sequence(plan)):
+                raise RuntimeError(f"{task.problem_name}: the solution plan does not "
+                                   "re-simulate from the initial state")
             result.plan_length = plan.action_count
             result.makespan = makespan(plan)
         return result
@@ -205,9 +209,8 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
 
         if tracker is not None:
             cost = counts[best_i] - plan.action_count
-            if math.isfinite(h_parent) and math.isfinite(raws[best_i]) \
-                    and (cost == 1 or observe_zero_cost):
-                tracker.observe(step_error(h_parent, raws[best_i], float(cost)))
+            if cost == 1 and math.isfinite(h_parent) and math.isfinite(raws[best_i]):
+                tracker.observe(step_error(h_parent, raws[best_i]))
             ranks = [tracker.enhance(r) for r in raws]
         else:
             ranks = raws

@@ -20,12 +20,14 @@ def step_error(h_parent: float, h_best_child: float, cost: float = 1.0) -> float
     return (cost + h_best_child) - h_parent
 
 
+EPSILON_CAP = 0.9
+
+
 @dataclass
 class ErrorTracker:
-    """Running average of observed step errors, clamped at ``epsilon_cap``."""
+    """Running average of observed step errors, clamped at ``EPSILON_CAP``."""
     error_sum: float = 0.0
     observations: int = 0
-    epsilon_cap: float = 0.9
 
     @property
     def epsilon_avg(self) -> float:
@@ -35,7 +37,7 @@ class ErrorTracker:
     @property
     def epsilon(self) -> float:
         """The average actually used for enhancement: min(avg, cap)."""
-        return min(self.epsilon_avg, self.epsilon_cap)
+        return min(self.epsilon_avg, EPSILON_CAP)
 
     def observe(self, error: float) -> None:
         self.error_sum += error

@@ -12,9 +12,17 @@ from collections import deque
 from itertools import product
 
 from poclkit.grounding import GroundTask
-from poclkit.plans import PartialPlan, apply_resolver, collect_flaws, is_solution, resolvers
+from poclkit.plans import (Flaw, PartialPlan, _threat_sort_key, apply_resolver, is_solution,
+                           resolvers)
 
 INF = float("inf")
+
+
+def collect_flaws(plan: PartialPlan) -> list[Flaw]:
+    """All flaws, threats first, each kind sorted by (consumer, fact)."""
+    threats = sorted(plan.threats, key=_threat_sort_key)
+    ocs = sorted(plan.open_conds, key=lambda oc: (oc.consumer, oc.fact))
+    return list(threats) + list(ocs)
 
 
 def bellman_costs(task: GroundTask, variant: str) -> list[float]:

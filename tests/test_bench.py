@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from poclkit import bench, cli
+from poclkit import bench, cli, search
 from poclkit.bench import (SuiteConfig, build_evaluator, makespan_score, nodes_score,
                            parse_suite_config, quality_score, run_suite, time_score,
                            REPORT_HEADER)
@@ -157,7 +157,7 @@ def test_parse_suite_config_rejects_duplicate_entries(tmp_path, capsys, key, fir
 @pytest.mark.parametrize("key, value", [
     ("max_nodes", "-3"), ("max_nodes", "0"), ("max_nodes", "1.5"), ("timeout", "-1"),
     ("timeout", "0"), ("timeout", "nan"), ("max_copies", "-1"), ("max_copies", "0"),
-    ("workers", "-1"), ("seed", "x"),
+    ("workers", "-1"), ("seed", "x"), ("flaws", "xx"),
 ])
 def test_parse_suite_config_rejects_out_of_range_numbers(tmp_path, capsys, key, value):
     # a limit no search can meet would run cells that cannot succeed
@@ -269,6 +269,16 @@ def test_run_suite_writes_plan_files(tmp_path):
     plans = os.listdir(os.path.join(report.csv_path.rsplit(os.sep, 1)[0], "plans"))
     assert len(plans) == 1
     assert plans[0].endswith(".plan")
+
+
+def test_run_suite_reports_unsimulated_plan_as_unsolved(tmp_path, monkeypatch):
+    monkeypatch.setattr(search, "validate", lambda task, sequence: False)
+    report = run_suite(_suite(tmp_path, problems=("gripper-1.pddl",), evaluators=("add",)))
+    (row,) = report.rows
+    assert not row.solved and row.plan_text == ""
+    assert "gripper-1" in row.error and "re-simulate" in row.error
+    assert report.aggregates["add"]["coverage"] == 0
+    assert os.listdir(tmp_path / "out" / "plans") == []
 
 
 def test_run_suite_survives_bad_problem(tmp_path):

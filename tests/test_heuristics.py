@@ -11,12 +11,12 @@ import pytest
 from poclkit.grounding import GroundTask
 from poclkit.heuristics import (FEATURE_NAMES, FeatureVector, additive_costs, build_tables,
                                 eval_add, feature_value, feature_vector)
-from poclkit.plans import (GOAL_STEP, OpenCondition, apply_resolver, collect_flaws,
-                           is_solution, null_plan, resolvers)
+from poclkit.plans import (GOAL_STEP, OpenCondition, apply_resolver, is_solution, null_plan,
+                           resolvers)
 from poclkit.search import FeatureEvaluator, SearchLimits, gbfs
 
 from conftest import make_task, random_task
-from oracles import bellman_costs, bfs_optimal_length, relaxed_goal_depth
+from oracles import bellman_costs, bfs_optimal_length, collect_flaws, relaxed_goal_depth
 
 INF = math.inf
 

@@ -80,6 +80,23 @@ def test_successful_draw_grows_pool():
         assert d.pool_after > d.pool_before
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seeds_per_problem", 0), ("seeds_per_problem", -1), ("seed_max_generated", 0),
+    ("seed_wall_time", 0.0), ("seed_wall_time", -1.0), ("seed_wall_time", math.nan),
+    ("max_copies", 0),
+])
+def test_dataset_config_rejects_limits_no_draw_can_meet(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        DatasetConfig(**{field: value})
+
+
+def test_dataset_config_accepts_boundaries():
+    config = DatasetConfig(seeds_per_problem=1, seed_max_generated=1,
+                           seed_wall_time=math.inf, max_copies=None)
+    assert (config.seeds_per_problem, config.seed_wall_time, config.max_copies) == \
+        (1, math.inf, None)
+
+
 def test_empty_dataset_error():
     hopeless = make_task(2, [], {0}, {1})
     with pytest.raises(EmptyDatasetError):
@@ -377,7 +394,12 @@ def test_model_unknown_feature_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("doc", [3, None, ["mask", "weights", "intercept"],
-                                 {"mask": ["h_add"], "weights": 1.0, "intercept": 0.0}])
+                                 {"mask": ["h_add"], "weights": 1.0, "intercept": 0.0},
+                                 # a NaN weight would make every prediction clamp to 0
+                                 {"mask": ["h_add"], "weights": [math.nan], "intercept": 1.0},
+                                 {"mask": ["h_add"], "weights": [math.inf], "intercept": 1.0},
+                                 {"mask": ["h_add"], "weights": [1.0], "intercept": math.nan},
+                                 {"mask": ["h_add"], "weights": [1.0], "intercept": -math.inf}])
 def test_model_of_wrong_shape_rejected(tmp_path, capsys, doc):
     path = str(tmp_path / "shape.json")
     with open(path, "w") as fh:

@@ -259,7 +259,6 @@ def test_add_delete_disjoint_invariant():
     task = ground(domain, problem)
     for act in task.actions:
         assert not (act.add & act.delete)
-        assert act.cost == 1
 
 
 def test_typed_hierarchy_grounding():

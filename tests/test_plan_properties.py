@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from poclkit.heuristics import FEATURE_NAMES, build_tables, eval_add, feature_value, feature_vector
 from poclkit.plans import (GOAL_STEP, INIT_STEP, OpenCondition, PartialPlan, Resolver,
-                           apply_resolver, collect_flaws, is_solution, linearize, null_plan,
+                           apply_resolver, is_solution, linearize, null_plan,
                            random_linearization, resolvers, step_sequence, validate)
 from poclkit.search import expand
 
 from conftest import random_task
+from oracles import collect_flaws
 
 
 def _reach(steps, edges) -> dict[int, set[int]]:

@@ -10,13 +10,14 @@ import pytest
 from poclkit.grounding import ground
 from poclkit.pddl import load_domain, load_problem
 from poclkit.plans import (GOAL_STEP, INIT_STEP, CausalLink, OpenCondition, Resolver, Threat,
-                           apply_resolver, collect_flaws, earliest_slots, format_plan,
+                           apply_resolver, earliest_slots, format_plan,
                            is_solution, linearize, makespan, null_plan, random_linearization,
                            resolvers, step_sequence, validate)
 from poclkit.heuristics import build_tables
 from poclkit.search import FeatureEvaluator, SearchLimits, gbfs
 
 from conftest import fixture_path, make_task
+from oracles import collect_flaws
 
 
 def solve(task, feature="h_add", strategy="mw-loc", max_nodes=50000):

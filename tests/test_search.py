@@ -2,31 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from random import Random
 
 import pytest
 
+from poclkit import search
 from poclkit.heuristics import build_tables
-from poclkit.plans import (GOAL_STEP, OpenCondition, Threat, apply_resolver,
-                           collect_flaws, is_solution, null_plan, random_linearization,
-                           resolvers, step_sequence, validate)
-from poclkit.search import (FeatureEvaluator, SearchLimits, best_child, expand, gbfs,
+from poclkit.plans import (GOAL_STEP, OpenCondition, Threat, apply_resolver, is_solution,
+                           null_plan, random_linearization, resolvers, step_sequence, validate)
+from poclkit.search import (FeatureEvaluator, SearchLimits, _best_index, expand, gbfs,
                             select_flaw)
 
 from conftest import live_plans, load_fixture_task, make_task
-from oracles import bfs_optimal_length, min_new_actions
-
-
-class FixedEvaluator:
-    """Maps specific plans to fixed ranks (for tie-break tests)."""
-
-    name = "fixed"
-
-    def __init__(self, ranks):
-        self.ranks = ranks
-
-    def rank(self, plan):
-        return self.ranks[id(plan)]
+from oracles import bfs_optimal_length, collect_flaws, min_new_actions
 
 
 # ── select_flaw ──────────────────────────────────────────────────────────────
@@ -144,13 +133,10 @@ def test_expand_threat_children_differ_in_orderings():
     assert children[0].after != children[1].after
 
 
-# ── best_child ───────────────────────────────────────────────────────────────
+# ── best child (the rule gbfs ranks children by) ─────────────────────────────
 
 def test_best_child_argmin():
-    task = make_task(2, [], {0}, set())
-    plans = [null_plan(task) for _ in range(3)]
-    ev = FixedEvaluator({id(p): r for p, r in zip(plans, (4.0, 2.0, 7.0))})
-    assert best_child(plans, ev) is plans[1]
+    assert _best_index([4.0, 2.0, 7.0], [0, 0, 0]) == 1
 
 
 def test_best_child_tie_break_fewer_actions(chain_task):
@@ -158,15 +144,12 @@ def test_best_child_tie_break_fewer_actions(chain_task):
     (r,) = [r for r in resolvers(plan, OpenCondition(2, GOAL_STEP), chain_task)
             if r.kind == "new-step"]
     deeper = apply_resolver(plan, r)
-    ev = FixedEvaluator({id(plan): 3.0, id(deeper): 3.0})
-    assert best_child([deeper, plan], ev) is plan
+    assert _best_index([3.0, 3.0], [deeper.action_count, plan.action_count]) == 1
+    assert _best_index([3.0, 3.0], [plan.action_count, plan.action_count]) == 0
 
 
 def test_best_child_single():
-    task = make_task(2, [], {0}, set())
-    plan = null_plan(task)
-    ev = FixedEvaluator({id(plan): 9.0})
-    assert best_child([plan], ev) is plan
+    assert _best_index([9.0], [0]) == 0
 
 
 # ── gbfs ─────────────────────────────────────────────────────────────────────
@@ -225,6 +208,28 @@ def test_gbfs_counts_monotone(gripper2, gripper2_tables):
     result = gbfs(gripper2, FeatureEvaluator("h_oc", gripper2_tables), "mc-loc",
                   limits, gripper2_tables)
     assert result.visited <= result.generated <= limits.max_generated
+
+
+@pytest.mark.parametrize("max_generated, wall_time, field", [
+    (-5, 900.0, "max_generated"), (0, 900.0, "max_generated"),
+    (1000, -1.0, "wall_time"), (1000, 0.0, "wall_time"), (1000, math.nan, "wall_time"),
+])
+def test_search_limits_reject_limits_no_search_can_meet(max_generated, wall_time, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        SearchLimits(max_generated, wall_time)
+
+
+def test_search_limits_accept_boundaries():
+    limits = SearchLimits(1, math.inf)
+    assert (limits.max_generated, limits.wall_time) == (1, math.inf)
+
+
+def test_gbfs_reports_no_plan_that_fails_to_resimulate(gripper2, gripper2_tables,
+                                                       monkeypatch):
+    monkeypatch.setattr(search, "validate", lambda task, sequence: False)
+    with pytest.raises(RuntimeError, match=gripper2.problem_name):
+        gbfs(gripper2, FeatureEvaluator("h_add", gripper2_tables), "mw-loc",
+             SearchLimits(50000, 30.0), gripper2_tables)
 
 
 class OracleEvaluator:

@@ -158,19 +158,12 @@ def test_trace_csv_round_trip(tmp_path):
 
 def test_zero_cost_refinements_excluded_by_default(chain_task):
     # solving the chain task takes two new steps plus one reuse of the initial
-    # dummy; the reuse step is observed only when explicitly enabled
-    from poclkit.heuristics import build_tables
-
+    # dummy; only the two unit-cost steps are observed
     tables = build_tables(chain_task)
-    counts = {}
-    for flag in (False, True):
-        evaluator = EnhancedEvaluator(FeatureEvaluator("h_add", tables))
-        result = gbfs(chain_task, evaluator, "mw-loc", SearchLimits(1000, 5.0), tables,
-                      observe_zero_cost=flag)
-        assert result.solved
-        counts[flag] = evaluator.tracker.observations
-    assert counts[False] == 2
-    assert counts[True] == 3
+    evaluator = EnhancedEvaluator(FeatureEvaluator("h_add", tables))
+    result = gbfs(chain_task, evaluator, "mw-loc", SearchLimits(1000, 5.0), tables)
+    assert result.solved
+    assert evaluator.tracker.observations == 2
 
 
 def test_zero_observation_tracker_ranks_identically():
