@@ -12,6 +12,7 @@ import logging
 import os
 import sys
 import time
+from itertools import groupby
 
 from . import bench, learning
 from .grounding import load_task
@@ -56,6 +57,19 @@ def _positive(parse):
     return convert
 
 
+def _unit_interval(text: str) -> float:
+    """An argparse type: a number in [0, 1] (NaN is not), as a correlation
+    threshold must be."""
+    try:
+        value = float(text)
+        ok = 0.0 <= value <= 1.0
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pocl",
                                      description="Plan-space planner with learned heuristics")
@@ -87,8 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = learn_sub.add_parser("fit", help="fit a linear model from a dataset CSV")
     fit.add_argument("dataset")
     fit.add_argument("--out", required=True)
-    fit.add_argument("--corr-low", type=float, default=0.1)
-    fit.add_argument("--corr-high", type=float, default=0.95)
+    fit.add_argument("--corr-low", type=_unit_interval, default=0.1)
+    fit.add_argument("--corr-high", type=_unit_interval, default=0.95)
 
     bench_cmd = sub.add_parser("bench", help="run a suite config (key=value lines)")
     bench_cmd.add_argument("config")
@@ -133,6 +147,9 @@ def _cmd_learn_dataset(args: argparse.Namespace) -> int:
     failed_nodes = sum(d.generated for d in draws if not d.solved)
     print(f"draws: {sum(d.solved for d in draws)}/{len(draws)} solved, "
           f"{failed_nodes / sum(d.generated for d in draws):.1%} of draw nodes in failed draws")
+    for problem, group in groupby(draws, key=lambda d: d.problem):
+        solved = [d.solved for d in group]
+        print(f"  {problem}: {sum(solved)}/{len(solved)} draws solved")
     return EXIT_OK
 
 

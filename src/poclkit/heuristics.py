@@ -3,7 +3,9 @@
 Six features per plan: the action count, the open-condition count, and four
 delete-relaxation sums (additive cost and additive effort, each with and
 without credit for facts an existing step can already supply). The cost
-tables are computed once per task from the initial state.
+tables are computed once per task from the initial state. ``new_step_values``
+and ``new_step_vectors`` give the same features for the new-step children of
+one open condition without building them.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .grounding import GroundTask
-from .plans import PartialPlan
+from .grounding import GroundAction, GroundTask
+from .plans import NewStepBase, PartialPlan
 
 INF = math.inf
 
@@ -138,3 +140,82 @@ def feature_value(name: str, plan: PartialPlan, tables: CostTables) -> float:
     if name == "h_add_w_r":
         return eval_add(plan, tables.effort, reuse=True)
     raise ValueError(f"unknown feature {name!r}")
+
+
+def _new_step_sums(base: NewStepBase, table: CostTable, reuse: bool,
+                   actions: list[GroundAction]) -> list[float]:
+    """``eval_add`` of each new-step child of ``base``, one per action, from
+    one pass over the base's open conditions: the sibling kernel.
+
+    A child adds one step ``sid``, ordered only after a0, and its action
+    ``act``: its open conditions are the base's plus ``(p, sid)`` for each
+    ``p`` in ``act.pre``. A base condition ``(f, c)`` no parent step can
+    supply becomes reusable iff ``f`` is in ``act.add``, since ``sid`` is
+    never after ``c``; ``(p, sid)`` is reusable iff a parent step adding
+    ``p`` is not after ``sid``. The base sum keeps its +inf terms as a count
+    and, with ``reuse``, the number of not-yet-reusable conditions per fact,
+    so a child's sum never subtracts inf. Costs are integer-valued floats,
+    so every sum is exact in any order and equals the built child's.
+    """
+    cost = table.fact_cost
+    producers, after = base.plan.producers, base.after
+    total, infs, waiting = 0.0, 0, {}
+    for fact, consumer in base.open_conds:
+        if reuse:
+            if producers.get(fact, 0) & ~((1 << consumer) | after[consumer]):
+                continue
+            waiting[fact] = waiting.get(fact, 0) + 1
+        c = cost[fact]
+        if c == INF:
+            infs += 1
+        else:
+            total += c
+    sid_after = after[-1]
+    out = []
+    for act in actions:
+        child_total, child_infs = total, infs
+        if reuse:
+            for f in act.add:
+                n = waiting.get(f)
+                if n:
+                    c = cost[f]
+                    if c == INF:
+                        child_infs -= n
+                    else:
+                        child_total -= n * c
+        for p in act.pre:
+            if reuse and producers.get(p, 0) & ~sid_after:
+                continue
+            c = cost[p]
+            if c == INF:
+                child_infs += 1
+            else:
+                child_total += c
+        out.append(INF if child_infs else child_total)
+    return out
+
+
+def new_step_values(name: str, base: NewStepBase, tables: CostTables,
+                    actions: list[GroundAction]) -> list[float]:
+    """``feature_value(name, child)`` of each new-step child of ``base``,
+    one per action, without building the children."""
+    if name == "h_gval":
+        return [float(base.plan.action_count + 1)] * len(actions)
+    if name == "h_oc":
+        return [float(len(base.open_conds) + len(act.pre)) for act in actions]
+    if name == "h_add":
+        return _new_step_sums(base, tables.plain, False, actions)
+    if name == "h_add_w":
+        return _new_step_sums(base, tables.effort, False, actions)
+    if name == "h_add_r":
+        return _new_step_sums(base, tables.plain, True, actions)
+    if name == "h_add_w_r":
+        return _new_step_sums(base, tables.effort, True, actions)
+    raise ValueError(f"unknown feature {name!r}")
+
+
+def new_step_vectors(base: NewStepBase, tables: CostTables,
+                     actions: list[GroundAction]) -> list[FeatureVector]:
+    """``feature_vector(child)`` of each new-step child of ``base``."""
+    columns = [new_step_values(name, base, tables, actions) for name in FEATURE_NAMES]
+    return [FeatureVector._make(row) for row in zip(*columns)]

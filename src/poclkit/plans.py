@@ -24,7 +24,10 @@ only in the action. They share one base, built once: the closure, the new
 causal link and the links tuple, the open conditions less the supported one,
 and the threats on the new link. Each child builds only its steps, its
 ``producers``, its action's preconditions as open conditions and the threats
-its step poses to existing links.
+its step poses to existing links. The caller holds the base
+(``new_step_base``) and passes it to ``apply_resolver``, so a search can
+queue a child as its base plus its resolver and build it only when popped;
+the base holds the parent plan.
 """
 
 from __future__ import annotations
@@ -75,8 +78,7 @@ class Resolver(NamedTuple):
 @dataclass(slots=True)
 class PartialPlan:
     """A partial plan. It is never changed once built: a refinement is a new
-    plan, and children share the parent's tuples and the new-step base is
-    cached per parent plan (see ``_last_base``), both of which rely on it."""
+    plan, and children share the parent's tuples, which relies on it."""
     steps: tuple[GroundAction, ...]           # indexed by step id
     after: tuple[int, ...]                    # step id -> bitmask of steps strictly after it;
                                               # the transitive closure, the one ordering record
@@ -227,31 +229,20 @@ def resolvers(plan: PartialPlan, flaw: Flaw, task: GroundTask,
     return out
 
 
-class _NewStepBase(NamedTuple):
+class NewStepBase(NamedTuple):
     """What every new-step child of one open condition ``(fact, consumer)``
     of ``plan`` shares, whichever action the new step is."""
     plan: PartialPlan
     fact: int
     consumer: int
-    after: tuple[int, ...]
+    after: tuple[int, ...]                    # the child's closure; the new step is last
     links: tuple[CausalLink, ...]
     open_conds: tuple[OpenCondition, ...]     # the parent's, less (fact, consumer)
     on_link: list[Threat]                     # live threats on the new link
     threats: tuple[Threat, ...]               # the parent's plus ``on_link``
 
 
-# The base of the last new-step child made. ``expand`` applies all resolvers
-# of one flaw in a row, so the siblings after the first find their base here.
-# The entry holds its plan, so matching it with ``is`` can never confuse a
-# plan with a later one at the same address; the entry is immutable and
-# replaced whole, so a stale read only costs a recomputation. Matching the
-# plan object is sound because plans are never changed once built. Holding
-# it keeps one plan, the last parent given a new-step child, alive after its
-# children are queued.
-_last_base: Optional[_NewStepBase] = None
-
-
-def _new_step_base(plan: PartialPlan, q: int, c: int) -> _NewStepBase:
+def new_step_base(plan: PartialPlan, q: int, c: int) -> NewStepBase:
     """The shared part of a new-step child supporting ``(q, c)`` in ``plan``.
 
     A fresh step sits after a0 and before a_inf and c: it cannot close a
@@ -259,10 +250,6 @@ def _new_step_base(plan: PartialPlan, q: int, c: int) -> _NewStepBase:
     stays live, and it is the new link's producer, so it never threatens
     that link.
     """
-    global _last_base
-    base = _last_base
-    if base is not None and base.plan is plan and base.fact == q and base.consumer == c:
-        return base
     sid = len(plan.steps)
     after = list(plan.after)
     after.append((1 << GOAL_STEP) | (1 << c) | after[c])
@@ -270,15 +257,43 @@ def _new_step_base(plan: PartialPlan, q: int, c: int) -> _NewStepBase:
     after = tuple(after)
     link = CausalLink(sid, q, c)
     on_link = _threats_on_link(after, plan.steps, link)
-    base = _last_base = _NewStepBase(
-        plan, q, c, after, plan.links + (link,),
-        _without(plan.open_conds, OpenCondition(q, c)),
-        on_link, plan.threats + tuple(on_link))
-    return base
+    return NewStepBase(plan, q, c, after, plan.links + (link,),
+                       _without(plan.open_conds, OpenCondition(q, c)),
+                       on_link, plan.threats + tuple(on_link))
 
 
-def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPlan]:
-    """A new plan with the resolver applied, or None if an ordering cycles."""
+def _new_step_child(base: NewStepBase, act: GroundAction) -> PartialPlan:
+    """The child of ``base.plan`` whose new step is ``act``: only its steps,
+    its ``producers``, its action's preconditions as open conditions and the
+    threats its step poses to existing links are its own."""
+    plan = base.plan
+    sid = len(plan.steps)
+    bit = 1 << sid
+    producers = dict(plan.producers)
+    for f in act.add:
+        producers[f] = producers.get(f, 0) | bit
+    by_step = _threats_by_step(base.after, sid, act, plan.links)
+    if by_step:
+        threats = plan.threats + tuple(sorted(by_step + base.on_link, key=_threat_sort_key))
+    else:
+        threats = base.threats
+    return PartialPlan(
+        steps=plan.steps + (act,),
+        after=base.after,
+        producers=producers,
+        links=base.links,
+        open_conds=base.open_conds + tuple([OpenCondition(f, sid) for f in act.pre]),
+        threats=threats,
+    )
+
+
+def apply_resolver(plan: PartialPlan, resolver: Resolver,
+                   base: Optional[NewStepBase] = None) -> Optional[PartialPlan]:
+    """A new plan with the resolver applied, or None if an ordering cycles.
+
+    A new-step resolver may pass ``base``, the ``new_step_base`` of ``plan``
+    and the resolver's open condition, so that siblings build it once.
+    """
     if resolver.kind in ("promotion", "demotion"):
         x, y = resolver.ordering
         after = _add_edge(plan.after, x, y)
@@ -311,26 +326,9 @@ def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPla
             threats=tuple(threats),
         )
 
-    act = resolver.action
-    base = _new_step_base(plan, q, c)
-    sid = len(plan.steps)
-    bit = 1 << sid
-    producers = dict(plan.producers)
-    for f in act.add:
-        producers[f] = producers.get(f, 0) | bit
-    by_step = _threats_by_step(base.after, sid, act, plan.links)
-    if by_step:
-        threats = plan.threats + tuple(sorted(by_step + base.on_link, key=_threat_sort_key))
-    else:
-        threats = base.threats
-    return PartialPlan(
-        steps=plan.steps + (act,),
-        after=base.after,
-        producers=producers,
-        links=base.links,
-        open_conds=base.open_conds + tuple([OpenCondition(f, sid) for f in act.pre]),
-        threats=threats,
-    )
+    if base is None:
+        base = new_step_base(plan, q, c)
+    return _new_step_child(base, resolver.action)
 
 
 # ── Linearization, scheduling, validation ────────────────────────────────────

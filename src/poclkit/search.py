@@ -4,6 +4,12 @@ Plans are ranked by a pluggable evaluator; flaws are chosen by the MC-Loc or
 MW-Loc rule (threats first, then the costliest open condition local to the
 newest step). Ranks are frozen at node-generation time: a tracker update never
 re-ranks plans already in the queue.
+
+A new-step child is queued pending, as its flaw's shared new-step base and
+its resolver, and built only when popped; about half of all generated plans
+are never popped. It is ranked at generation from ``new_step_values`` or
+``new_step_vectors``, which give the built child's features exactly, so the
+search is the same as if every child were built at once.
 """
 
 from __future__ import annotations
@@ -13,12 +19,13 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
-from .grounding import GroundTask
-from .heuristics import CostTables, build_tables, feature_value, feature_vector
-from .plans import (Flaw, PartialPlan, apply_resolver, is_solution, makespan, null_plan,
-                    resolvers, step_sequence, validate)
+from .grounding import GroundAction, GroundTask
+from .heuristics import (CostTables, build_tables, feature_value, feature_vector,
+                         new_step_values, new_step_vectors)
+from .plans import (Flaw, NewStepBase, PartialPlan, Resolver, apply_resolver, is_solution,
+                    makespan, new_step_base, null_plan, resolvers, step_sequence, validate)
 from .tuning import ErrorTracker, TraceRow, step_error
 
 log = logging.getLogger("poclkit.search")
@@ -49,6 +56,10 @@ class FeatureEvaluator:
     def rank(self, plan: PartialPlan) -> float:
         return feature_value(self.name, plan, self.tables)
 
+    def rank_new_steps(self, base: NewStepBase, actions: list[GroundAction]) -> list[float]:
+        """``rank`` of each new-step child of ``base``, without building it."""
+        return new_step_values(self.name, base, self.tables, actions)
+
 
 class ModelEvaluator:
     """Ranks plans by a learned model over the feature vector."""
@@ -61,10 +72,15 @@ class ModelEvaluator:
     def rank(self, plan: PartialPlan) -> float:
         return self.model.predict(feature_vector(plan, self.tables))
 
+    def rank_new_steps(self, base: NewStepBase, actions: list[GroundAction]) -> list[float]:
+        """``rank`` of each new-step child of ``base``, without building it."""
+        return [self.model.predict(v) for v in new_step_vectors(base, self.tables, actions)]
+
 
 class EnhancedEvaluator:
     """Wraps an evaluator with an error tracker; ranking uses the enhanced
-    value while ``raw`` exposes the inner rank for error observation."""
+    value while ``raw`` exposes the inner rank for error observation. The
+    ``_new_steps`` forms need the inner evaluator's ``rank_new_steps``."""
 
     def __init__(self, inner, tracker: Optional[ErrorTracker] = None):
         self.inner = inner
@@ -76,6 +92,12 @@ class EnhancedEvaluator:
 
     def rank(self, plan: PartialPlan) -> float:
         return self.tracker.enhance(self.inner.rank(plan))
+
+    def raw_new_steps(self, base: NewStepBase, actions: list[GroundAction]) -> list[float]:
+        return self.inner.rank_new_steps(base, actions)
+
+    def rank_new_steps(self, base: NewStepBase, actions: list[GroundAction]) -> list[float]:
+        return [self.tracker.enhance(h) for h in self.inner.rank_new_steps(base, actions)]
 
 
 @dataclass
@@ -110,21 +132,43 @@ def select_flaw(plan: PartialPlan, strategy: str, tables: CostTables) -> Flaw:
     return min(local or plan.open_conds, key=lambda oc: (-cost[oc.fact], oc.fact, oc.consumer))
 
 
+# A new-step child not built yet: its flaw's shared base and its resolver. A
+# plain pair, since one is made per generated new-step child and a named
+# tuple costs several times as much to make; a built child is a PartialPlan.
+Pending = tuple[NewStepBase, Resolver]
+Child = Union[PartialPlan, Pending]
+
+
 def expand(plan: PartialPlan, task: GroundTask, strategy, tables: CostTables,
-           max_copies: Optional[int] = 2) -> list[PartialPlan]:
+           max_copies: Optional[int] = 2) -> list[Child]:
     """Children from resolving the selected flaw; inconsistent ones dropped.
 
-    ``strategy`` is one of the named rules or a callable
-    ``(plan, tables) -> Flaw`` for custom flaw selection.
+    New-step children come last, pending on one shared base; ``built`` gives
+    the plan of any child. ``strategy`` is one of the named rules or a
+    callable ``(plan, tables) -> Flaw`` for custom flaw selection.
     """
     flaw = strategy(plan, tables) if callable(strategy) else \
         select_flaw(plan, strategy, tables)
-    children = []
+    children: list[Child] = []
+    base = None
     for res in resolvers(plan, flaw, task, max_copies=max_copies):
-        child = apply_resolver(plan, res)
-        if child is not None:
-            children.append(child)
+        if res.kind == "new-step":
+            if base is None:
+                base = new_step_base(plan, res.fact, res.consumer)
+            children.append((base, res))
+        else:
+            child = apply_resolver(plan, res)
+            if child is not None:
+                children.append(child)
     return children
+
+
+def built(child: Child) -> PartialPlan:
+    """The plan of a child from ``expand``; a pending one is built now."""
+    if type(child) is tuple:
+        base, res = child
+        return apply_resolver(base.plan, res, base)
+    return child
 
 
 def _best_index(ranks: list[float], counts: list[int]) -> int:
@@ -149,11 +193,14 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
     parent/best-child step error before the children are enqueued with
     enhanced ranks. A solution that does not re-simulate raises RuntimeError.
 
-    The open list holds the only reference to a queued plan, so a visited
-    plan is freed once its children are queued and memory grows with the
-    open list, not with every generated node. ``collect_generated`` keeps
-    every generated plan alive on purpose. Node ids (trace rows,
-    ``solution_node_id``) number plans in generation order, the root 0.
+    A new-step child is queued pending and built when popped, if the
+    evaluator can rank it unbuilt (``rank_new_steps``); other children are
+    built at generation. A queued entry keeps at most one plan alive, its
+    own or, when pending, its parent's, so memory grows with the open list,
+    not with every generated node. ``collect_generated`` builds every child
+    at generation and keeps every generated plan alive on purpose. Node ids
+    (trace rows, ``solution_node_id``) number plans in generation order, the
+    root 0.
     """
     if limits is None:
         limits = SearchLimits()
@@ -161,6 +208,8 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
         tables = build_tables(task)
     tracker = getattr(evaluator, "tracker", None)
     raw_rank = evaluator.raw if tracker is not None else evaluator.rank
+    raw_new_steps = None if collect_generated else \
+        getattr(evaluator, "raw_new_steps" if tracker is not None else "rank_new_steps", None)
 
     start = time.monotonic()
     plan0 = root if root is not None else null_plan(task)
@@ -168,11 +217,11 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
     trace: list[TraceRow] = []
     if record_trace:
         trace.append(TraceRow(0, -1, h0, plan0.action_count))
-    generated = 1    # also the next node id; ids are unique, so entries never compare plans
+    generated = 1    # also the next node id; ids are unique, so entries never compare children
     visited = 0
     rank0 = tracker.enhance(h0) if tracker is not None else h0
-    # (rank, action count, node id, plan, raw rank)
-    heap: list[tuple[float, int, int, PartialPlan, float]] = \
+    # (rank, action count, node id, child, raw rank)
+    heap: list[tuple[float, int, int, Child, float]] = \
         [(rank0, plan0.action_count, 0, plan0, h0)]
     generated_plans: list[PartialPlan] = []
 
@@ -193,7 +242,8 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
     while heap:
         if time.monotonic() - start > limits.wall_time:
             return finish("limit-hit")
-        _, _, node_id, plan, h_parent = heapq.heappop(heap)
+        _, _, node_id, child, h_parent = heapq.heappop(heap)
+        plan = built(child)
         visited += 1
         if is_solution(plan):
             return finish("solved", plan, node_id)
@@ -203,8 +253,18 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
         children = expand(plan, task, strategy, tables, max_copies=max_copies)
         if not children:
             continue
-        raws = [raw_rank(ch) for ch in children]
-        counts = [ch.action_count for ch in children]
+        if raw_new_steps is None:
+            children = [built(ch) for ch in children]
+        raws, counts, actions = [], [], []
+        for ch in children:
+            if type(ch) is tuple:
+                actions.append(ch[1].action)
+            else:
+                raws.append(raw_rank(ch))
+                counts.append(ch.action_count)
+        if actions:
+            raws += raw_new_steps(children[-1][0], actions)
+            counts += [plan.action_count + 1] * len(actions)
         best_i = _best_index(raws, counts)
 
         if tracker is not None:

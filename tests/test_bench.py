@@ -424,6 +424,33 @@ def test_cli_non_positive_limits_are_usage_errors(tmp_path, capsys, argv):
     assert not os.path.exists(files["OUT"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["--corr-low", "2"],
+    ["--corr-low", "nan"],
+    ["--corr-low", "-0.1"],
+    ["--corr-high", "1.5"],
+    ["--corr-high", "x"],
+])
+def test_cli_correlation_thresholds_outside_unit_interval_are_usage_errors(tmp_path, capsys,
+                                                                           argv):
+    model = str(tmp_path / "model.json")
+    with pytest.raises(SystemExit) as err:
+        cli.main(["learn", "fit", str(tmp_path / "data.csv"), "--out", model] + argv)
+    assert err.value.code == cli.EXIT_USAGE
+    assert "expected a number in [0, 1]" in capsys.readouterr().err
+    assert not os.path.exists(model)
+
+
+def test_cli_learn_dataset_prints_draws_per_problem(tmp_path, capsys):
+    code = cli.main(["learn", "dataset", fixture_path("gripper.pddl"),
+                     fixture_path("gripper-1.pddl"), fixture_path("gripper-train-2.pddl"),
+                     "--seeds-per-problem", "2", "--out", str(tmp_path / "data.csv")])
+    assert code == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "draws: 3/4 solved" in out
+    assert "  gripper-1: 2/2 draws solved\n  gripper-train-2: 1/2 draws solved\n" in out
+
+
 def test_cli_learn_dataset_and_fit(tmp_path, capsys):
     data = str(tmp_path / "data.csv")
     code = cli.main(["learn", "dataset", fixture_path("gripper.pddl"),

@@ -155,6 +155,27 @@ def test_replayed_draws_match_collecting_every_draw():
         assert format_plan(ours.solution_plan) == format_plan(ref.solution_plan)
 
 
+def test_dataset_draws_and_instances_are_pinned():
+    # recorded when gbfs built every child at generation: queueing new-step
+    # children unbuilt in the first pass must leave the pool sizes per draw
+    # and the instances as they were
+    tasks = [load_fixture_task("gripper.pddl", p)
+             for p in ("gripper-1.pddl", "gripper-2.pddl", "gripper-train-2.pddl")]
+    config = DatasetConfig(seeds_per_problem=3, seed_max_generated=4000, rng_seed=0)
+    dataset = generate_dataset(tasks, "h_add", config)
+    assert [(d.problem, d.solved, d.pool_before, d.pool_after, d.generated)
+            for d in dataset.draws] == [
+        ("gripper-1", True, 1, 17, 17), ("gripper-1", True, 17, 38, 22),
+        ("gripper-1", True, 38, 40, 3), ("gripper-2", True, 1, 51, 51),
+        ("gripper-2", True, 51, 90, 40), ("gripper-2", False, 90, 90, 1),
+        ("gripper-train-2", False, 1, 1, 4000), ("gripper-train-2", False, 1, 1, 4000),
+        ("gripper-train-2", False, 1, 1, 4000)]
+    assert [(i.target, tuple(i.features)) for i in dataset.instances] == [
+        (3, (0.0, 1.0, 3.0, 9.0, 3.0, 9.0)), (2, (3.0, 4.0, 2.0, 6.0, 2.0, 6.0)),
+        (0, (3.0, 1.0, 0.0, 0.0, 0.0, 0.0)), (5, (0.0, 2.0, 6.0, 18.0, 6.0, 18.0)),
+        (4, (3.0, 4.0, 5.0, 15.0, 5.0, 15.0))]
+
+
 def test_failed_draw_keeps_only_its_open_list():
     # gripper-train-1's first draw fails at 8,000 nodes; by its 3,000th
     # expansion a collecting search would hold every plan it generated.

@@ -15,11 +15,14 @@ from random import Random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from poclkit.heuristics import FEATURE_NAMES, build_tables, eval_add, feature_value, feature_vector
+from poclkit.heuristics import (FEATURE_NAMES, build_tables, eval_add, feature_value,
+                                feature_vector, new_step_vectors)
+from poclkit.learning import LinearModel
 from poclkit.plans import (GOAL_STEP, INIT_STEP, OpenCondition, PartialPlan, Resolver,
-                           apply_resolver, is_solution, linearize, null_plan,
+                           apply_resolver, is_solution, linearize, new_step_base, null_plan,
                            random_linearization, resolvers, step_sequence, validate)
-from poclkit.search import expand
+from poclkit.search import EnhancedEvaluator, FeatureEvaluator, ModelEvaluator, built, expand
+from poclkit.tuning import ErrorTracker
 
 from conftest import random_task
 from oracles import collect_flaws
@@ -138,9 +141,9 @@ def _fields(plan) -> tuple:
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), max_facts=st.integers(3, 10), depth=st.integers(0, 20))
 def test_expand_children_match_cold_applications(seed, max_facts, depth):
-    # ``expand`` applies one flaw's resolvers in a row, so new-step siblings
-    # share their base; each cold application is on a fresh copy of the
-    # plan, which no shared base can match
+    # ``expand`` queues one flaw's new-step children pending on one shared
+    # base, built later by ``built``; each cold application is on a fresh
+    # copy of the plan and builds its own base
     rng = Random(seed)
     task = random_task(rng, max_facts=max_facts)
     tables = build_tables(task)
@@ -151,7 +154,8 @@ def test_expand_children_match_cold_applications(seed, max_facts, depth):
             break
         # several flaws of one plan in a row, then their cold counterparts
         chosen = rng.sample(flaws, min(3, len(flaws)))
-        batches = [expand(plan, task, lambda p, t, flaw=flaw: flaw, tables) for flaw in chosen]
+        batches = [[built(c) for c in expand(plan, task, lambda p, t, flaw=flaw: flaw, tables)]
+                   for flaw in chosen]
         for flaw, batch in zip(chosen, batches):
             cold = [c for r in resolvers(plan, flaw, task)
                     if (c := apply_resolver(copy.copy(plan), r)) is not None]
@@ -160,6 +164,43 @@ def test_expand_children_match_cold_applications(seed, max_facts, depth):
         if not children:
             break
         plan = rng.choice(children)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), max_facts=st.integers(3, 12), depth=st.integers(0, 20))
+def test_pending_new_step_children_rank_and_build_like_built_ones(seed, max_facts, depth):
+    # random tasks give +inf facts and actions adding other conditions' facts
+    rng = Random(seed)
+    task = random_task(rng, max_facts=max_facts)
+    tables = build_tables(task)
+    model = LinearModel((1.0, 0.5, 0.25, 2.0, 0.125, 3.0), -0.75, tuple(range(6)))
+    inner = [FeatureEvaluator(name, tables) for name in FEATURE_NAMES]
+    inner.append(ModelEvaluator(model, tables))
+    evaluators = inner + [EnhancedEvaluator(ev, ErrorTracker(0.3, 1)) for ev in inner]
+    plan = null_plan(task)
+    for _ in range(depth):
+        for oc in plan.open_conds:
+            options = [r for r in resolvers(plan, oc, task) if r.kind == "new-step"]
+            if not options:
+                continue
+            base = new_step_base(plan, oc.fact, oc.consumer)
+            cold = [apply_resolver(plan, r) for r in options]
+            assert [apply_resolver(plan, r, base) for r in options] == cold
+            actions = [r.action for r in options]
+            assert new_step_vectors(base, tables, actions) == \
+                [feature_vector(child, tables) for child in cold]
+            for ev in evaluators:
+                assert ev.rank_new_steps(base, actions) == [ev.rank(child) for child in cold]
+                if isinstance(ev, EnhancedEvaluator):
+                    assert ev.raw_new_steps(base, actions) == [ev.raw(child) for child in cold]
+        flaws = collect_flaws(plan)
+        if not flaws:
+            break
+        options = [c for r in resolvers(plan, rng.choice(flaws), task)
+                   if (c := apply_resolver(plan, r)) is not None]
+        if not options:
+            break
+        plan = rng.choice(options)
 
 
 def _new_step_actions(plan, task, fact, max_copies) -> list[int]:

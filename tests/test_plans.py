@@ -11,8 +11,8 @@ from poclkit.grounding import ground
 from poclkit.pddl import load_domain, load_problem
 from poclkit.plans import (GOAL_STEP, INIT_STEP, CausalLink, OpenCondition, Resolver, Threat,
                            apply_resolver, earliest_slots, format_plan,
-                           is_solution, linearize, makespan, null_plan, random_linearization,
-                           resolvers, step_sequence, validate)
+                           is_solution, linearize, makespan, new_step_base, null_plan,
+                           random_linearization, resolvers, step_sequence, validate)
 from poclkit.heuristics import build_tables
 from poclkit.search import FeatureEvaluator, SearchLimits, gbfs
 
@@ -210,7 +210,9 @@ def test_ordering_child_shares_unchanged_tuples():
 def test_new_step_siblings_share_their_base(gripper2):
     plan = null_plan(gripper2)
     flaw = OpenCondition(gripper2.fact_ids["(at ball1 roomb)"], GOAL_STEP)
-    first, second = [apply_resolver(plan, r) for r in resolvers(plan, flaw, gripper2)]
+    base = new_step_base(plan, flaw.fact, flaw.consumer)
+    first, second = [apply_resolver(plan, r, base) for r in resolvers(plan, flaw, gripper2)]
+    assert first == apply_resolver(plan, resolvers(plan, flaw, gripper2)[0])
     assert first.after is second.after
     assert first.links is second.links
     assert first.steps[-1] is not second.steps[-1]

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
 from poclkit import search
 from poclkit.heuristics import build_tables
-from poclkit.plans import (GOAL_STEP, OpenCondition, Threat, apply_resolver, is_solution,
-                           null_plan, random_linearization, resolvers, step_sequence, validate)
+from poclkit.plans import (GOAL_STEP, OpenCondition, PartialPlan, Threat, apply_resolver,
+                           is_solution, null_plan, random_linearization, resolvers,
+                           step_sequence, validate)
 from poclkit.search import (FeatureEvaluator, SearchLimits, _best_index, expand, gbfs,
                             select_flaw)
 
@@ -272,32 +275,50 @@ def test_solution_node_trace_path_consistent(gripper2, gripper2_tables):
     assert depth_counts == result.plan_length
 
 
-def test_visited_plans_are_freed():
-    # Each generated plan is ranked once and each visited one reaches the flaw
-    # selector once, so the open list holds (rank calls - selector calls)
-    # plans; beyond those only the plan being expanded and the root may live.
+def test_collect_generated_returns_built_plans_in_generation_order(gripper2, gripper2_tables):
+    evaluator = FeatureEvaluator("h_add", gripper2_tables)
+    limits = SearchLimits(50000, 30.0)
+    lazy = gbfs(gripper2, evaluator, "mw-loc", limits, gripper2_tables, record_trace=True)
+    eager = gbfs(gripper2, evaluator, "mw-loc", limits, gripper2_tables, record_trace=True,
+                 collect_generated=True)
+    assert lazy.solved and not lazy.generated_plans
+    assert (eager.plan, eager.generated, eager.visited, eager.trace) == \
+        (lazy.plan, lazy.generated, lazy.visited, lazy.trace)
+    plans = [null_plan(gripper2)] + eager.generated_plans
+    assert len(plans) == eager.generated
+    assert all(type(plan) is PartialPlan for plan in plans)
+    for row in eager.trace[1:]:
+        child, parent = plans[row.node_id], plans[row.parent_id]
+        assert evaluator.rank(child) == row.h and child.action_count == row.action_count
+        assert child.steps[:len(parent.steps)] == parent.steps
+
+
+def test_visited_plans_are_freed(monkeypatch):
+    # A queued entry keeps at most one plan alive: its own, or its parent's
+    # when it is a new-step child queued unbuilt. So beyond the queued
+    # entries (generated - visited) only the plan being expanded and the root
+    # may live. Every generated node but the root is pushed once.
     task = load_fixture_task("gripper.pddl", "gripper-3.pddl")
     tables = build_tables(task)
+    seen = {"pushed": 0, "visits": 0}
 
-    class CountingEvaluator(FeatureEvaluator):
-        calls = 0
+    def counting_push(heap, entry):
+        seen["pushed"] += 1
+        heapq.heappush(heap, entry)
 
-        def rank(self, plan):
-            self.calls += 1
-            return super().rank(plan)
-
-    evaluator = CountingEvaluator("h_add", tables)
+    monkeypatch.setattr(search, "heapq",
+                        SimpleNamespace(heappush=counting_push, heappop=heapq.heappop))
     before = live_plans()
-    seen = {}
 
     def probe(plan, tables_):
-        seen["visits"] = seen.get("visits", 0) + 1
+        seen["visits"] += 1
         if seen["visits"] == 1000:
-            seen["open"] = evaluator.calls - seen["visits"]
+            seen["open"] = seen["pushed"] + 1 - seen["visits"]
             seen["live"] = live_plans() - before
         return select_flaw(plan, "mw-loc", tables_)
 
-    result = gbfs(task, evaluator, probe, SearchLimits(100_000, 60.0), tables)
+    result = gbfs(task, FeatureEvaluator("h_add", tables), probe,
+                  SearchLimits(100_000, 60.0), tables)
     assert result.solved and result.visited > 1000
     assert seen["open"] > 100
     assert seen["live"] <= seen["open"] + 2
