@@ -23,7 +23,7 @@ from typing import Optional
 from .grounding import GroundTask, load_task
 from .heuristics import FEATURE_NAMES, CostTables, build_tables
 from .learning import load_model
-from .plans import format_plan
+from .plans import MAX_COPIES, format_plan
 from .search import (EnhancedEvaluator, FeatureEvaluator, ModelEvaluator, SearchLimits,
                      STRATEGIES, gbfs)
 
@@ -97,12 +97,12 @@ class SuiteConfig:
     problems: list[str]
     evaluators: list[str]
     strategy: str = "mw-loc"
-    max_generated: int = 1_000_000
-    wall_time: float = 900.0
+    max_generated: int = SearchLimits.max_generated
+    wall_time: float = SearchLimits.wall_time
     out_dir: str = "bench-out"
     rng_seed: int = 0
     workers: int = 0                 # 0 = logical cores
-    max_copies: Optional[int] = 2
+    max_copies: Optional[int] = MAX_COPIES
 
 
 SUITE_KEYS = frozenset({"domain", "flaws", "max_nodes", "timeout", "out_dir", "seed",
@@ -145,6 +145,13 @@ def parse_suite_config(text: str, base_dir: str = ".") -> SuiteConfig:
             if model is not None:
                 path, enhanced = model
                 value = "model:" + rebase(path) + (":enhanced" if enhanced else "")
+            else:
+                try:
+                    base_feature(value)
+                except ValueError:
+                    raise ValueError(f"suite config line {lineno}: evaluator must be "
+                                     f"{'|'.join(map(shorthand, FEATURE_NAMES))} or "
+                                     f"model:FILE[:enhanced], got {value!r}") from None
             _add_once(evaluators, value, key, lineno)
         elif key in SUITE_KEYS:
             _add_once(key_lines, key, "key", lineno)
@@ -183,13 +190,15 @@ def parse_suite_config(text: str, base_dir: str = ".") -> SuiteConfig:
         evaluators=list(evaluators),
         strategy=setting("flaws", str, "mw-loc", lambda s: s in STRATEGIES,
                          " or ".join(STRATEGIES)),
-        max_generated=setting("max_nodes", int, 1_000_000, positive, "a positive integer"),
-        wall_time=setting("timeout", float, 900.0, positive, "a positive number"),
+        max_generated=setting("max_nodes", int, SearchLimits.max_generated, positive,
+                              "a positive integer"),
+        wall_time=setting("timeout", float, SearchLimits.wall_time, positive,
+                          "a positive number"),
         out_dir=rebase(values.get("out_dir", "bench-out")),
         rng_seed=setting("seed", int, 0, lambda n: True, "an integer"),
         workers=setting("workers", int, 0, lambda n: n >= 0,
                         "0 (one per logical core) or a positive integer"),
-        max_copies=setting("max_copies", lambda v: None if v == "none" else int(v), 2,
+        max_copies=setting("max_copies", lambda v: None if v == "none" else int(v), MAX_COPIES,
                            lambda n: n is None or n > 0, "a positive integer or none"),
     )
 

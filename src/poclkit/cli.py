@@ -82,8 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="|".join(map(bench.shorthand, FEATURE_NAMES))
                        + "|model:FILE[:enhanced]")
     solve.add_argument("--flaws", choices=STRATEGIES, default="mw-loc")
-    solve.add_argument("--max-nodes", type=_positive(int), default=1_000_000)
-    solve.add_argument("--timeout", type=_positive(float), default=900.0)
+    solve.add_argument("--max-nodes", type=_positive(int), default=SearchLimits.max_generated)
+    solve.add_argument("--timeout", type=_positive(float), default=SearchLimits.wall_time)
     solve.add_argument("--plan-out", default=None)
 
     learn = sub.add_parser("learn", help="dataset preparation and model fitting")
@@ -94,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dataset.add_argument("problems", nargs="+")
     dataset.add_argument("--base", choices=[bench.shorthand(f) for f in learning.BASE_FEATURES],
                          default="add")
-    dataset.add_argument("--seeds-per-problem", type=_positive(int), default=10)
+    dataset.add_argument("--seeds-per-problem", type=_positive(int),
+                         default=learning.DatasetConfig.seeds_per_problem)
     dataset.add_argument("--seed", type=int, default=0)
     dataset.add_argument("--out", required=True)
 

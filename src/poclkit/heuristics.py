@@ -123,6 +123,19 @@ def feature_vector(plan: PartialPlan, tables: CostTables) -> FeatureVector:
                          add, add_w, add_r, add_w_r)
 
 
+# The four sums by feature name: (cost table, credit for reusable facts).
+_SUMS = {"h_add": ("plain", False), "h_add_w": ("effort", False),
+         "h_add_r": ("plain", True), "h_add_w_r": ("effort", True)}
+
+
+def _sum_of(name: str, tables: CostTables) -> tuple[CostTable, bool]:
+    """The (table, reuse) pair of the sum feature ``name``."""
+    if name not in _SUMS:
+        raise ValueError(f"unknown feature {name!r}")
+    variant, reuse = _SUMS[name]
+    return getattr(tables, variant), reuse
+
+
 def feature_value(name: str, plan: PartialPlan, tables: CostTables) -> float:
     """One named feature, equal to ``feature_vector(plan, tables)`` at that
     name. Kept beside the vector because one sum costs about a third of the
@@ -131,15 +144,7 @@ def feature_value(name: str, plan: PartialPlan, tables: CostTables) -> float:
         return float(plan.action_count)
     if name == "h_oc":
         return float(len(plan.open_conds))
-    if name == "h_add":
-        return eval_add(plan, tables.plain, reuse=False)
-    if name == "h_add_w":
-        return eval_add(plan, tables.effort, reuse=False)
-    if name == "h_add_r":
-        return eval_add(plan, tables.plain, reuse=True)
-    if name == "h_add_w_r":
-        return eval_add(plan, tables.effort, reuse=True)
-    raise ValueError(f"unknown feature {name!r}")
+    return eval_add(plan, *_sum_of(name, tables))
 
 
 def _new_step_sums(base: NewStepBase, table: CostTable, reuse: bool,
@@ -203,15 +208,7 @@ def new_step_values(name: str, base: NewStepBase, tables: CostTables,
         return [float(base.plan.action_count + 1)] * len(actions)
     if name == "h_oc":
         return [float(len(base.open_conds) + len(act.pre)) for act in actions]
-    if name == "h_add":
-        return _new_step_sums(base, tables.plain, False, actions)
-    if name == "h_add_w":
-        return _new_step_sums(base, tables.effort, False, actions)
-    if name == "h_add_r":
-        return _new_step_sums(base, tables.plain, True, actions)
-    if name == "h_add_w_r":
-        return _new_step_sums(base, tables.effort, True, actions)
-    raise ValueError(f"unknown feature {name!r}")
+    return _new_step_sums(base, *_sum_of(name, tables), actions)
 
 
 def new_step_vectors(base: NewStepBase, tables: CostTables,

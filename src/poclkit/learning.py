@@ -20,7 +20,7 @@ import numpy as np
 
 from .grounding import GroundTask
 from .heuristics import FEATURE_NAMES, FeatureVector, build_tables, feature_vector
-from .plans import PartialPlan, null_plan
+from .plans import MAX_COPIES, PartialPlan, null_plan
 from .search import FeatureEvaluator, SearchLimits, SearchResult, gbfs
 
 log = logging.getLogger("poclkit.learning")
@@ -87,7 +87,7 @@ class DatasetConfig:
     seed_wall_time: float = 180.0
     rng_seed: int = 0
     strategy: str = "mw-loc"
-    max_copies: Optional[int] = 2
+    max_copies: Optional[int] = MAX_COPIES
 
     def __post_init__(self):
         for name, ok, need in (

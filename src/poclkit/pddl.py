@@ -298,11 +298,17 @@ def _parse_action(node: _Node, arity: dict[str, int], filename: str) -> ActionSc
             raise ParseError(f"unknown action section {key.value}", filename, key.line, key.col)
         if i + 1 >= len(items):
             raise ParseError(f"missing body for {key.value}", filename, key.line, key.col)
+        if key.value in sections:
+            raise ParseError(f"repeated {key.value} in action {name}", filename,
+                             key.line, key.col)
+        if not isinstance(items[i + 1], _Node):
+            raise ParseError(f"expected a parenthesized body for {key.value}", filename,
+                             key.line, key.col)
         sections[key.value] = items[i + 1]
         i += 2
 
     params_node = sections.get(":parameters")
-    params = _parse_typed_list(params_node.items, filename) if isinstance(params_node, _Node) else ()
+    params = _parse_typed_list(params_node.items, filename) if params_node is not None else ()
     seen = set()
     for p in params:
         if p.name in seen:
@@ -325,7 +331,7 @@ def _parse_action(node: _Node, arity: dict[str, int], filename: str) -> ActionSc
     precond: list[Atom] = []
     eqs: list[EqConstraint] = []
     pre_node = sections.get(":precondition")
-    if isinstance(pre_node, _Node):
+    if pre_node is not None:
         for f in _conjunction(pre_node, filename):
             head = _expect_word(f.items[0], "a formula head", filename) if f.items else None
             if head is None:
@@ -348,7 +354,7 @@ def _parse_action(node: _Node, arity: dict[str, int], filename: str) -> ActionSc
     add: list[Atom] = []
     delete: list[Atom] = []
     eff_node = sections.get(":effect")
-    if isinstance(eff_node, _Node):
+    if eff_node is not None:
         for f in _conjunction(eff_node, filename):
             head = _expect_word(f.items[0], "a formula head", filename) if f.items else None
             if head is None:
@@ -424,14 +430,15 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
                     raise ParseError("expected an atom in :init", filename, f.line, f.col)
                 init.append(_parse_atom(f, filename))
         elif key.value == ":goal":
-            body = section.items[1] if len(section.items) > 1 else None
-            if isinstance(body, _Node):
-                for f in _conjunction(body, filename):
-                    a = _parse_atom(f, filename)
-                    if a.pred == "not":
-                        raise ParseError("negative goals are not supported (STRIPS)",
-                                         filename, f.line, f.col)
-                    goal.append(a)
+            if len(section.items) != 2 or not isinstance(section.items[1], _Node):
+                raise ParseError("expected one parenthesized formula in (:goal ...)",
+                                 filename, section.line, section.col)
+            for f in _conjunction(section.items[1], filename):
+                a = _parse_atom(f, filename)
+                if a.pred == "not":
+                    raise ParseError("negative goals are not supported (STRIPS)",
+                                     filename, f.line, f.col)
+                goal.append(a)
         elif key.value == ":requirements":
             _requirements(section, filename)
         else:

@@ -40,6 +40,7 @@ from .grounding import GroundAction, GroundTask
 
 INIT_STEP = 0
 GOAL_STEP = 1
+MAX_COPIES = 2    # default bound on steps sharing one ground action; see ``resolvers``
 
 
 class CausalLink(NamedTuple):
@@ -197,7 +198,7 @@ def is_solution(plan: PartialPlan) -> bool:
 
 
 def resolvers(plan: PartialPlan, flaw: Flaw, task: GroundTask,
-              max_copies: Optional[int] = 2) -> list[Resolver]:
+              max_copies: Optional[int] = MAX_COPIES) -> list[Resolver]:
     """All refinements removing ``flaw``; empty list means a dead end.
 
     ``max_copies`` bounds how many steps may share one ground-action id,

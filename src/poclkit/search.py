@@ -24,8 +24,9 @@ from typing import Optional, Union
 from .grounding import GroundAction, GroundTask
 from .heuristics import (CostTables, build_tables, feature_value, feature_vector,
                          new_step_values, new_step_vectors)
-from .plans import (Flaw, NewStepBase, PartialPlan, Resolver, apply_resolver, is_solution,
-                    makespan, new_step_base, null_plan, resolvers, step_sequence, validate)
+from .plans import (MAX_COPIES, Flaw, NewStepBase, PartialPlan, Resolver, apply_resolver,
+                    is_solution, makespan, new_step_base, null_plan, resolvers, step_sequence,
+                    validate)
 from .tuning import ErrorTracker, TraceRow, step_error
 
 log = logging.getLogger("poclkit.search")
@@ -78,26 +79,15 @@ class ModelEvaluator:
 
 
 class EnhancedEvaluator:
-    """Wraps an evaluator with an error tracker; ranking uses the enhanced
-    value while ``raw`` exposes the inner rank for error observation. The
-    ``_new_steps`` forms need the inner evaluator's ``rank_new_steps``."""
+    """An evaluator paired with an error tracker. ``gbfs`` ranks children
+    with ``inner``, feeds the tracker their step errors and queues each child
+    at ``tracker.enhance`` of its raw rank; the record has no ranking of its
+    own."""
 
     def __init__(self, inner, tracker: Optional[ErrorTracker] = None):
         self.inner = inner
         self.tracker = tracker if tracker is not None else ErrorTracker()
         self.name = inner.name + ":enhanced"
-
-    def raw(self, plan: PartialPlan) -> float:
-        return self.inner.rank(plan)
-
-    def rank(self, plan: PartialPlan) -> float:
-        return self.tracker.enhance(self.inner.rank(plan))
-
-    def raw_new_steps(self, base: NewStepBase, actions: list[GroundAction]) -> list[float]:
-        return self.inner.rank_new_steps(base, actions)
-
-    def rank_new_steps(self, base: NewStepBase, actions: list[GroundAction]) -> list[float]:
-        return [self.tracker.enhance(h) for h in self.inner.rank_new_steps(base, actions)]
 
 
 @dataclass
@@ -140,7 +130,7 @@ Child = Union[PartialPlan, Pending]
 
 
 def expand(plan: PartialPlan, task: GroundTask, strategy, tables: CostTables,
-           max_copies: Optional[int] = 2) -> list[Child]:
+           max_copies: Optional[int] = MAX_COPIES) -> list[Child]:
     """Children from resolving the selected flaw; inconsistent ones dropped.
 
     New-step children come last, pending on one shared base; ``built`` gives
@@ -184,36 +174,37 @@ def _best_index(ranks: list[float], counts: list[int]) -> int:
 
 def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
          limits: Optional[SearchLimits] = None, tables: Optional[CostTables] = None,
-         root: Optional[PartialPlan] = None, max_copies: Optional[int] = 2,
+         root: Optional[PartialPlan] = None, max_copies: Optional[int] = MAX_COPIES,
          record_trace: bool = False, collect_generated: bool = False) -> SearchResult:
     """Greedy best-first search from ``root`` (default: the null plan).
 
-    Queue order is (rank, action count, FIFO). If the evaluator carries an
-    error tracker, each expansion whose best child adds a step observes the
+    ``evaluator`` ranks a built plan by ``rank(plan)`` and a flaw's new-step
+    children, unbuilt, by ``rank_new_steps(base, actions)``. Queue order is
+    (rank, action count, FIFO). An evaluator carrying an error tracker (an
+    ``EnhancedEvaluator``) gives raw ranks through its ``inner`` evaluator:
+    each expansion whose best child adds a step observes the
     parent/best-child step error before the children are enqueued with
     enhanced ranks. A solution that does not re-simulate raises RuntimeError.
 
-    A new-step child is queued pending and built when popped, if the
-    evaluator can rank it unbuilt (``rank_new_steps``); other children are
-    built at generation. A queued entry keeps at most one plan alive, its
+    A new-step child is queued pending and built when popped; other children
+    are built at generation. A queued entry keeps at most one plan alive, its
     own or, when pending, its parent's, so memory grows with the open list,
-    not with every generated node. ``collect_generated`` builds every child
-    at generation and keeps every generated plan alive on purpose. Node ids
-    (trace rows, ``solution_node_id``) number plans in generation order, the
-    root 0.
+    not with every generated node. ``collect_generated`` builds each child
+    as it is queued, after it is ranked the same way, and keeps every
+    generated plan alive on purpose. Node ids (trace rows,
+    ``solution_node_id``) number plans in generation order, the root 0.
     """
     if limits is None:
         limits = SearchLimits()
     if tables is None:
         tables = build_tables(task)
     tracker = getattr(evaluator, "tracker", None)
-    raw_rank = evaluator.raw if tracker is not None else evaluator.rank
-    raw_new_steps = None if collect_generated else \
-        getattr(evaluator, "raw_new_steps" if tracker is not None else "rank_new_steps", None)
+    ranker = evaluator.inner if tracker is not None else evaluator
+    rank, rank_new_steps = ranker.rank, ranker.rank_new_steps
 
     start = time.monotonic()
     plan0 = root if root is not None else null_plan(task)
-    h0 = raw_rank(plan0)
+    h0 = rank(plan0)
     trace: list[TraceRow] = []
     if record_trace:
         trace.append(TraceRow(0, -1, h0, plan0.action_count))
@@ -253,17 +244,15 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
         children = expand(plan, task, strategy, tables, max_copies=max_copies)
         if not children:
             continue
-        if raw_new_steps is None:
-            children = [built(ch) for ch in children]
         raws, counts, actions = [], [], []
         for ch in children:
             if type(ch) is tuple:
                 actions.append(ch[1].action)
             else:
-                raws.append(raw_rank(ch))
+                raws.append(rank(ch))
                 counts.append(ch.action_count)
         if actions:
-            raws += raw_new_steps(children[-1][0], actions)
+            raws += rank_new_steps(children[-1][0], actions)
             counts += [plan.action_count + 1] * len(actions)
         best_i = _best_index(raws, counts)
 
@@ -283,6 +272,7 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
             if record_trace:
                 trace.append(TraceRow(child_id, node_id, raws[i], counts[i], i == best_i))
             if collect_generated:
+                child = built(child)
                 generated_plans.append(child)
             heapq.heappush(heap, (ranks[i], counts[i], child_id, child, raws[i]))
 

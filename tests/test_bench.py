@@ -157,10 +157,11 @@ def test_parse_suite_config_rejects_duplicate_entries(tmp_path, capsys, key, fir
 @pytest.mark.parametrize("key, value", [
     ("max_nodes", "-3"), ("max_nodes", "0"), ("max_nodes", "1.5"), ("timeout", "-1"),
     ("timeout", "0"), ("timeout", "nan"), ("max_copies", "-1"), ("max_copies", "0"),
-    ("workers", "-1"), ("seed", "x"), ("flaws", "xx"),
+    ("workers", "-1"), ("seed", "x"), ("flaws", "xx"), ("evaluator", "bogus"),
 ])
 def test_parse_suite_config_rejects_out_of_range_numbers(tmp_path, capsys, key, value):
-    # a limit no search can meet would run cells that cannot succeed
+    # a limit no search can meet, or an evaluator no search has, would run
+    # cells that cannot succeed
     text = (f"domain = {fixture_path('gripper.pddl')}\n"
             f"problem = {fixture_path('gripper-1.pddl')}\nevaluator = add\n"
             f"out_dir = {tmp_path / 'out'}\n{key} = {value}\n")

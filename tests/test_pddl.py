@@ -91,6 +91,17 @@ MALFORMED = {
         "domain", _domain_with_precondition("(not (= ?x))"), (4, 10)),
     "equality-with-three-arguments": (
         "domain", _domain_with_precondition("(= ?x ?x ?x)"), (4, 5)),
+    # section bodies once read as empty (or, repeated, the last kept)
+    "goal-without-parentheses": (
+        "problem", "(define (problem p)\n  (:domain d)\n  (:init) (:goal q))", (3, 11)),
+    "goal-without-body": ("problem", "(define (problem p)\n  (:domain d)\n  (:goal))", (3, 3)),
+    "precondition-without-parentheses": ("domain", _domain_with_precondition("p"), (3, 5)),
+    "effect-without-parentheses": (
+        "domain", "(define (domain d) (:predicates (q))\n  (:action a :parameters ()\n"
+        "    :effect q))", (3, 5)),
+    "repeated-effect": (
+        "domain", "(define (domain d) (:predicates (q) (r))\n  (:action a :parameters ()\n"
+        "    :effect (q)\n    :effect (r)))", (4, 5)),
 }
 
 

@@ -21,8 +21,7 @@ from poclkit.learning import LinearModel
 from poclkit.plans import (GOAL_STEP, INIT_STEP, OpenCondition, PartialPlan, Resolver,
                            apply_resolver, is_solution, linearize, new_step_base, null_plan,
                            random_linearization, resolvers, step_sequence, validate)
-from poclkit.search import EnhancedEvaluator, FeatureEvaluator, ModelEvaluator, built, expand
-from poclkit.tuning import ErrorTracker
+from poclkit.search import FeatureEvaluator, ModelEvaluator, built, expand
 
 from conftest import random_task
 from oracles import collect_flaws
@@ -174,9 +173,8 @@ def test_pending_new_step_children_rank_and_build_like_built_ones(seed, max_fact
     task = random_task(rng, max_facts=max_facts)
     tables = build_tables(task)
     model = LinearModel((1.0, 0.5, 0.25, 2.0, 0.125, 3.0), -0.75, tuple(range(6)))
-    inner = [FeatureEvaluator(name, tables) for name in FEATURE_NAMES]
-    inner.append(ModelEvaluator(model, tables))
-    evaluators = inner + [EnhancedEvaluator(ev, ErrorTracker(0.3, 1)) for ev in inner]
+    evaluators = [FeatureEvaluator(name, tables) for name in FEATURE_NAMES]
+    evaluators.append(ModelEvaluator(model, tables))
     plan = null_plan(task)
     for _ in range(depth):
         for oc in plan.open_conds:
@@ -191,8 +189,6 @@ def test_pending_new_step_children_rank_and_build_like_built_ones(seed, max_fact
                 [feature_vector(child, tables) for child in cold]
             for ev in evaluators:
                 assert ev.rank_new_steps(base, actions) == [ev.rank(child) for child in cold]
-                if isinstance(ev, EnhancedEvaluator):
-                    assert ev.raw_new_steps(base, actions) == [ev.raw(child) for child in cold]
         flaws = collect_flaws(plan)
         if not flaws:
             break

@@ -10,12 +10,13 @@ from types import SimpleNamespace
 import pytest
 
 from poclkit import search
-from poclkit.heuristics import build_tables
-from poclkit.plans import (GOAL_STEP, OpenCondition, PartialPlan, Threat, apply_resolver,
-                           is_solution, null_plan, random_linearization, resolvers,
-                           step_sequence, validate)
-from poclkit.search import (FeatureEvaluator, SearchLimits, _best_index, expand, gbfs,
-                            select_flaw)
+from poclkit.heuristics import FEATURE_NAMES, build_tables
+from poclkit.learning import LinearModel
+from poclkit.plans import (GOAL_STEP, OpenCondition, PartialPlan, Resolver, Threat,
+                           apply_resolver, is_solution, null_plan, random_linearization,
+                           resolvers, step_sequence, validate)
+from poclkit.search import (EnhancedEvaluator, FeatureEvaluator, ModelEvaluator, SearchLimits,
+                            _best_index, expand, gbfs, select_flaw)
 
 from conftest import live_plans, load_fixture_task, make_task
 from oracles import bfs_optimal_length, collect_flaws, min_new_actions
@@ -247,6 +248,11 @@ class OracleEvaluator:
         remaining = min_new_actions(self.task, plan, cap=8)
         return float(remaining) if remaining is not None else float("inf")
 
+    def rank_new_steps(self, base, actions):
+        return [self.rank(search.built((base, Resolver("new-step", base.fact, base.consumer,
+                                                       action=act))))
+                for act in actions]
+
 
 def test_perfect_evaluator_ideal_case():
     # every refinement adds an action: k independent goals, each achieved by
@@ -275,10 +281,24 @@ def test_solution_node_trace_path_consistent(gripper2, gripper2_tables):
     assert depth_counts == result.plan_length
 
 
-def test_collect_generated_returns_built_plans_in_generation_order(gripper2, gripper2_tables):
-    evaluator = FeatureEvaluator("h_add", gripper2_tables)
+_MODEL = LinearModel((1.0, 0.5, 0.25, 2.0, 0.125, 3.0), -0.75, tuple(range(6)))
+_REPLAY_EVALUATORS = {
+    **{name: lambda tables, name=name: FeatureEvaluator(name, tables) for name in FEATURE_NAMES},
+    "model": lambda tables: ModelEvaluator(_MODEL, tables),
+    "enhanced": lambda tables: EnhancedEvaluator(FeatureEvaluator("h_add", tables)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REPLAY_EVALUATORS))
+def test_collect_generated_returns_built_plans_in_generation_order(kind, gripper2,
+                                                                   gripper2_tables):
+    # the learning replay's plans carry the ranks the sibling kernel gave
+    # them: each trace row's raw rank is the rank of the built plan
+    make = _REPLAY_EVALUATORS[kind]
     limits = SearchLimits(50000, 30.0)
-    lazy = gbfs(gripper2, evaluator, "mw-loc", limits, gripper2_tables, record_trace=True)
+    lazy = gbfs(gripper2, make(gripper2_tables), "mw-loc", limits, gripper2_tables,
+                record_trace=True)
+    evaluator = make(gripper2_tables)    # a fresh tracker for the enhanced form
     eager = gbfs(gripper2, evaluator, "mw-loc", limits, gripper2_tables, record_trace=True,
                  collect_generated=True)
     assert lazy.solved and not lazy.generated_plans
@@ -287,9 +307,12 @@ def test_collect_generated_returns_built_plans_in_generation_order(gripper2, gri
     plans = [null_plan(gripper2)] + eager.generated_plans
     assert len(plans) == eager.generated
     assert all(type(plan) is PartialPlan for plan in plans)
+    ranker = getattr(evaluator, "inner", evaluator)
+    if ranker is not evaluator:
+        assert evaluator.tracker.observations > 0
     for row in eager.trace[1:]:
         child, parent = plans[row.node_id], plans[row.parent_id]
-        assert evaluator.rank(child) == row.h and child.action_count == row.action_count
+        assert ranker.rank(child) == row.h and child.action_count == row.action_count
         assert child.steps[:len(parent.steps)] == parent.steps
 
 
