@@ -4,8 +4,8 @@ Six features per plan: the action count, the open-condition count, and four
 delete-relaxation sums (additive cost and additive effort, each with and
 without credit for facts an existing step can already supply). The cost
 tables are computed once per task from the initial state. ``new_step_values``
-and ``new_step_vectors`` give the same features for the new-step children of
-one open condition without building them.
+gives one feature of each new-step child of one open condition without
+building the children.
 """
 
 from __future__ import annotations
@@ -210,9 +210,3 @@ def new_step_values(name: str, base: NewStepBase, tables: CostTables,
         return [float(len(base.open_conds) + len(act.pre)) for act in actions]
     return _new_step_sums(base, *_sum_of(name, tables), actions)
 
-
-def new_step_vectors(base: NewStepBase, tables: CostTables,
-                     actions: list[GroundAction]) -> list[FeatureVector]:
-    """``feature_vector(child)`` of each new-step child of ``base``."""
-    columns = [new_step_values(name, base, tables, actions) for name in FEATURE_NAMES]
-    return [FeatureVector._make(row) for row in zip(*columns)]

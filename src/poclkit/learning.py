@@ -3,7 +3,10 @@
 Dataset preparation draws random seed partial plans from a growing pool,
 refines each to a solution with a base feature heuristic, and records the
 feature vector together with the number of new actions the refinement added.
-A correlation filter picks features; ordinary least squares fits the model.
+A seed whose refinement failed is searched once per problem: drawn again, it
+reuses the first search's outcome and node count. A correlation filter picks
+features; ordinary least squares fits the model, which reads only the
+features its mask names.
 """
 
 from __future__ import annotations
@@ -14,14 +17,14 @@ import logging
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .grounding import GroundTask
 from .heuristics import FEATURE_NAMES, FeatureVector, build_tables, feature_vector
 from .plans import MAX_COPIES, PartialPlan, null_plan
-from .search import FeatureEvaluator, SearchLimits, SearchResult, gbfs
+from .search import STRATEGIES, FeatureEvaluator, SearchLimits, SearchResult, gbfs
 
 log = logging.getLogger("poclkit.learning")
 
@@ -63,7 +66,8 @@ class DrawRecord:
     solved: bool
     pool_before: int
     pool_after: int
-    generated: int        # nodes of the draw's own search, not of its replay
+    generated: int        # nodes of the draw's search, not of its replay; a
+                          # reused failed seed's are those of its first search
 
 
 @dataclass
@@ -82,11 +86,18 @@ class Dataset:
 
 @dataclass
 class DatasetConfig:
+    """Limits and choices of dataset generation.
+
+    ``strategy`` is a named flaw rule (``mc-loc`` or ``mw-loc``) or a
+    callable ``(plan, tables) -> Flaw``. A callable must be deterministic:
+    the replay of a solved draw and the reuse of a failed seed's outcome
+    both assume that a search from the same seed goes the same way.
+    """
     seeds_per_problem: int = 10
     seed_max_generated: int = 500_000
     seed_wall_time: float = 180.0
     rng_seed: int = 0
-    strategy: str = "mw-loc"
+    strategy: Union[str, Callable] = "mw-loc"
     max_copies: Optional[int] = MAX_COPIES
 
     def __post_init__(self):
@@ -95,7 +106,9 @@ class DatasetConfig:
                 ("seed_max_generated", self.seed_max_generated >= 1, ">= 1"),
                 ("seed_wall_time", self.seed_wall_time > 0, "> 0"),
                 ("max_copies", self.max_copies is None or self.max_copies >= 1,
-                 "None or >= 1")):
+                 "None or >= 1"),
+                ("strategy", callable(self.strategy) or self.strategy in STRATEGIES,
+                 f"one of {', '.join(STRATEGIES)} or a callable")):
             if not ok:
                 raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
 
@@ -110,7 +123,15 @@ def generate_dataset(tasks: Sequence[GroundTask], base_heuristic: str,
     seed, target = new actions added) and feeds the plans generated along the
     way back into the pool; a failed one contributes neither.
 
-    Each draw runs in two passes. The first searches without keeping the
+    A failed seed is searched once per problem. The pool only grows, so a
+    pool index always names the same plan, and a failed search that ended
+    exhausted or on the node budget ends the same way every time. A later
+    draw of that index records the first search's outcome and node count
+    without searching; ``Dataset.draws``, and with them the printed share of
+    draw nodes in failed draws, still count each draw's nodes. A seed whose
+    search stopped on the wall-time limit is searched again when drawn again.
+
+    Each searched draw runs in two passes. The first searches without keeping the
     plans it generates, so a failed draw holds only its open list. Only a
     solved draw is searched again from the same seed with
     ``collect_generated``, bounded by the first pass's node count; search is
@@ -133,28 +154,45 @@ def generate_dataset(tasks: Sequence[GroundTask], base_heuristic: str,
         tables = build_tables(task)
         evaluator = FeatureEvaluator(base_heuristic, tables)
         pool: list[PartialPlan] = [null_plan(task)]
+        failed: dict[int, int] = {}    # pool index -> nodes of its settled failed search
         for draw in range(config.seeds_per_problem):
             before = len(pool)
-            sp = pool[rng.randrange(before)]
-            result = gbfs(task, evaluator, config.strategy, limits, tables,
-                          root=sp, max_copies=config.max_copies)
-            if result.solved:
-                replay = gbfs(task, evaluator, config.strategy,
-                              SearchLimits(result.generated, math.inf), tables,
-                              root=sp, max_copies=config.max_copies, collect_generated=True)
-                _check_replay(result, replay, task.problem_name, draw)
-                target = replay.plan.action_count - sp.action_count
-                dataset.instances.append(TrainingInstance(
-                    feature_vector(sp, tables), target, sp, replay.plan))
-                pool.extend(replay.generated_plans)
-            dataset.draws.append(DrawRecord(task.problem_name, draw, result.solved,
-                                            before, len(pool), result.generated))
+            index = rng.randrange(before)
+            solved, generated = False, failed.get(index)
+            if generated is None:
+                sp = pool[index]
+                result = gbfs(task, evaluator, config.strategy, limits, tables,
+                              root=sp, max_copies=config.max_copies)
+                solved, generated = result.solved, result.generated
+                if solved:
+                    replay = gbfs(task, evaluator, config.strategy,
+                                  SearchLimits(generated, math.inf), tables, root=sp,
+                                  max_copies=config.max_copies, collect_generated=True)
+                    _check_replay(result, replay, task.problem_name, draw)
+                    target = replay.plan.action_count - sp.action_count
+                    dataset.instances.append(TrainingInstance(
+                        feature_vector(sp, tables), target, sp, replay.plan))
+                    pool.extend(replay.generated_plans)
+                elif _settled(result, limits):
+                    failed[index] = generated
+            dataset.draws.append(DrawRecord(task.problem_name, draw, solved,
+                                            before, len(pool), generated))
             log.debug("problem=%s draw=%d solved=%s generated=%d pool=%d",
-                      task.problem_name, draw, result.solved, result.generated, len(pool))
+                      task.problem_name, draw, solved, generated, len(pool))
 
     if not dataset.instances:
         raise EmptyDatasetError("no seed refined to a solution within the limits")
     return dataset
+
+
+def _settled(result: SearchResult, limits: SearchLimits) -> bool:
+    """Whether a failed search would end the same way if run again: it
+    exhausted its open list, or it stopped on the node budget. A wall-time
+    stop leaves its elapsed time past the limit, so even one that stopped at
+    the budget's count is not settled: run on, it might have solved."""
+    if result.outcome == "exhausted":
+        return True
+    return result.generated >= limits.max_generated and result.elapsed <= limits.wall_time
 
 
 def _check_replay(first: SearchResult, replay: SearchResult, problem: str, draw: int) -> None:
@@ -211,14 +249,19 @@ class LinearModel:
     mask: tuple[int, ...]            # indices into FEATURE_NAMES
     metadata: dict = field(default_factory=dict)
 
-    def predict(self, features: FeatureVector) -> float:
+    def score(self, values: Sequence[float]) -> float:
+        """The model at the masked features ``values``, in mask order: +inf
+        if any value is, else the intercept plus the weighted sum, clamped
+        at 0."""
         total = self.intercept
-        for w, i in zip(self.weights, self.mask):
-            f = features[i]
+        for w, f in zip(self.weights, values):
             if f == math.inf:
                 return math.inf
             total += w * f
         return max(0.0, total)
+
+    def predict(self, features: FeatureVector) -> float:
+        return self.score([features[i] for i in self.mask])
 
 
 def fit_linear(dataset: Dataset, mask: Sequence[int]) -> LinearModel:

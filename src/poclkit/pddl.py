@@ -255,7 +255,9 @@ def _parse_eq(node: _Node, equal: bool, filename: str) -> EqConstraint:
 
 def _read_define(text: str, filename: str, kind: str):
     """Read ``(define (KIND NAME) SECTION...)``: the name, the root form and
-    ``(keyword, section)`` pairs, checked one at a time as they are taken."""
+    ``(keyword, section)`` pairs, checked one at a time as they are taken.
+    Only ``:action`` may appear more than once; a second occurrence of any
+    other section is a ParseError at its keyword."""
     root = _read_sexpr(_tokenize(text, filename), filename)
     items = root.items
     if len(items) < 2 or not (isinstance(items[0], _Token) and items[0].value == "define"):
@@ -267,11 +269,18 @@ def _read_define(text: str, filename: str, kind: str):
     name = _expect_word(head.items[1], f"a {kind} name", filename).value
 
     def sections():
+        seen = set()
         for section in items[2:]:
             if not isinstance(section, _Node) or not section.items:
                 raise ParseError(f"expected a {kind} section", filename,
                                  section.line, section.col)
-            yield _expect_word(section.items[0], "a section keyword", filename), section
+            key = _expect_word(section.items[0], "a section keyword", filename)
+            if key.value in seen:
+                raise ParseError(f"repeated {key.value} section in {kind} {name}", filename,
+                                 key.line, key.col)
+            if key.value != ":action":
+                seen.add(key.value)
+            yield key, section
 
     return name, root, sections()
 

@@ -7,9 +7,11 @@ re-ranks plans already in the queue.
 
 A new-step child is queued pending, as its flaw's shared new-step base and
 its resolver, and built only when popped; about half of all generated plans
-are never popped. It is ranked at generation from ``new_step_values`` or
-``new_step_vectors``, which give the built child's features exactly, so the
-search is the same as if every child were built at once.
+are never popped. It is ranked at generation from ``new_step_values``, which
+gives the built child's features exactly, so the search is the same as if
+every child were built at once. A ``ModelEvaluator`` computes only the
+features its model's mask names, one ``feature_value`` or ``new_step_values``
+column each.
 """
 
 from __future__ import annotations
@@ -22,8 +24,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .grounding import GroundAction, GroundTask
-from .heuristics import (CostTables, build_tables, feature_value, feature_vector,
-                         new_step_values, new_step_vectors)
+from .heuristics import (FEATURE_NAMES, CostTables, build_tables, feature_value,
+                         new_step_values)
+# not called here since models rank from their masked features; the name
+# stays bound because perfbench's tracer wraps poclkit.search.feature_vector
+from .heuristics import feature_vector  # noqa: F401
 from .plans import (MAX_COPIES, Flaw, NewStepBase, PartialPlan, Resolver, apply_resolver,
                     is_solution, makespan, new_step_base, null_plan, resolvers, step_sequence,
                     validate)
@@ -63,19 +68,24 @@ class FeatureEvaluator:
 
 
 class ModelEvaluator:
-    """Ranks plans by a learned model over the feature vector."""
+    """Ranks plans by a learned model, computing only the features its mask
+    names; the rank equals ``model.predict(feature_vector(plan, tables))``."""
 
     def __init__(self, model, tables: CostTables):
         self.model = model
         self.tables = tables
+        self.features = tuple(FEATURE_NAMES[i] for i in model.mask)
         self.name = f"model:{model.metadata.get('base_heuristic', '?')}"
 
     def rank(self, plan: PartialPlan) -> float:
-        return self.model.predict(feature_vector(plan, self.tables))
+        return self.model.score([feature_value(name, plan, self.tables)
+                                 for name in self.features])
 
     def rank_new_steps(self, base: NewStepBase, actions: list[GroundAction]) -> list[float]:
         """``rank`` of each new-step child of ``base``, without building it."""
-        return [self.model.predict(v) for v in new_step_vectors(base, self.tables, actions)]
+        columns = [new_step_values(name, base, self.tables, actions) for name in self.features]
+        rows = zip(*columns) if columns else [()] * len(actions)
+        return [self.model.score(row) for row in rows]
 
 
 class EnhancedEvaluator:

@@ -17,7 +17,7 @@ from poclkit.learning import (Dataset, DatasetConfig, DatasetError, DegenerateDa
                               generate_dataset, load_dataset, load_model,
                               save_dataset, save_model)
 from poclkit.plans import format_plan, is_solution, null_plan
-from poclkit.search import FeatureEvaluator, SearchLimits, gbfs, select_flaw
+from poclkit.search import FeatureEvaluator, ModelEvaluator, SearchLimits, gbfs, select_flaw
 
 from conftest import fixture_path, live_plans, load_fixture_task, make_task
 from oracles import ols_line
@@ -88,6 +88,17 @@ def test_successful_draw_grows_pool():
 def test_dataset_config_rejects_limits_no_draw_can_meet(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be"):
         DatasetConfig(**{field: value})
+
+
+@pytest.mark.parametrize("strategy", ["best-first", "", None, "MW-LOC"])
+def test_dataset_config_rejects_unknown_strategy(strategy):
+    with pytest.raises(ValueError, match=r"^strategy must be one of mc-loc, mw-loc or a callable"):
+        DatasetConfig(strategy=strategy)
+
+
+def test_dataset_config_accepts_named_and_callable_strategies():
+    for strategy in ("mc-loc", "mw-loc", select_flaw):
+        assert DatasetConfig(strategy=strategy).strategy is strategy
 
 
 def test_dataset_config_accepts_boundaries():
@@ -193,6 +204,59 @@ def test_failed_draw_keeps_only_its_open_list():
     with pytest.raises(EmptyDatasetError):
         generate_dataset([task], "h_add", config)
     assert seen["live"] < 3000
+
+
+def _counting_gbfs(monkeypatch, alter=None):
+    """Patch ``learning.gbfs`` to record the first-pass searches it runs
+    (replays aside), passing each result through ``alter`` if given."""
+    real_gbfs, first_passes = learning.gbfs, []
+
+    def counting(*args, **kwargs):
+        result = real_gbfs(*args, **kwargs)
+        if not kwargs.get("collect_generated"):
+            first_passes.append(result.outcome)
+            if alter is not None:
+                alter(result)
+        return result
+
+    monkeypatch.setattr(learning, "gbfs", counting)
+    return first_passes
+
+
+def test_failed_seed_drawn_again_is_searched_once(monkeypatch):
+    # gripper-train-2 draws the null plan three times; each would stop on the
+    # node budget, and the first search settles all three
+    first_passes = _counting_gbfs(monkeypatch)
+    task = load_fixture_task("gripper.pddl", "gripper-train-2.pddl")
+    config = DatasetConfig(seeds_per_problem=3, seed_max_generated=4000, rng_seed=0)
+    with pytest.raises(EmptyDatasetError):
+        generate_dataset([task], "h_add", config)
+    assert first_passes == ["limit-hit"]
+
+
+@pytest.mark.parametrize("generated, elapsed", [
+    (3999, 0.0),      # stopped on wall time below the node budget
+    (4000, 11.0),     # stopped on wall time exactly at the budget's count
+])
+def test_failed_seed_stopped_on_wall_time_is_searched_again(monkeypatch, generated, elapsed):
+    def wall_stop(result):
+        result.outcome, result.generated, result.elapsed = "limit-hit", generated, elapsed
+
+    first_passes = _counting_gbfs(monkeypatch, wall_stop)
+    task = load_fixture_task("gripper.pddl", "gripper-train-2.pddl")
+    config = DatasetConfig(seeds_per_problem=3, seed_max_generated=4000,
+                           seed_wall_time=10.0, rng_seed=0)
+    with pytest.raises(EmptyDatasetError):
+        generate_dataset([task], "h_add", config)
+    assert first_passes == ["limit-hit"] * 3
+
+
+def test_exhausted_seed_drawn_again_is_searched_once(monkeypatch):
+    first_passes = _counting_gbfs(monkeypatch)
+    hopeless = make_task(2, [], {0}, {1})
+    with pytest.raises(EmptyDatasetError):
+        generate_dataset([hopeless], "h_add", DatasetConfig(seeds_per_problem=4))
+    assert first_passes == ["exhausted"]
 
 
 def test_replay_that_differs_is_an_error(monkeypatch):
@@ -441,6 +505,28 @@ def test_hand_written_model_predicts(tmp_path):
                   fh)
     model = load_model(path)
     assert model.predict(vec(3, 4, 0, 0, 0, 0)) == 11.0
+
+
+def test_score_is_predict_at_the_masked_values():
+    model = LinearModel((0.5, -2.0), 6.0, (3, 1))
+    assert model.score([4.0, 2.0]) == model.predict(vec(9, 2, 7, 4, 8, 6)) == 4.0
+    assert model.score([INF, 2.0]) == model.score([4.0, INF]) == INF
+    assert LinearModel((), -1.0, ()).score([]) == 0.0
+
+
+@pytest.mark.parametrize("intercept", [-2.5, 0.0, 1.5])
+def test_hand_written_empty_mask_model_ranks_every_child_alike(tmp_path, intercept):
+    path = str(tmp_path / "empty.json")
+    with open(path, "w") as fh:
+        json.dump({"mask": [], "weights": [], "intercept": intercept}, fh)
+    model = load_model(path)
+    assert model.mask == () and model.weights == ()
+    task = load_fixture_task("gripper.pddl", "gripper-1.pddl")
+    tables = build_tables(task)
+    result = gbfs(task, ModelEvaluator(model, tables), limits=SearchLimits(300),
+                  tables=tables, record_trace=True)
+    assert len(result.trace) == result.generated > 1
+    assert {row.h for row in result.trace} == {max(0.0, intercept)}
 
 
 def test_dataset_csv_round_trip(tmp_path):

@@ -102,6 +102,16 @@ MALFORMED = {
     "repeated-effect": (
         "domain", "(define (domain d) (:predicates (q) (r))\n  (:action a :parameters ()\n"
         "    :effect (q)\n    :effect (r)))", (4, 5)),
+    # a repeated top-level section was kept last (or, for :predicates, :init
+    # and :goal, concatenated); only :action may repeat
+    **{f"repeated-domain-{section[1:]}": (
+        "domain", f"(define (domain d)\n  ({section} {body})\n  ({section} {body}))", (3, 4))
+       for section, body in ((":requirements", ":strips"), (":types", "t"),
+                             (":constants", "c"), (":predicates", "(r)"))},
+    **{f"repeated-problem-{section[1:]}": (
+        "problem", f"(define (problem p)\n  ({section} {body})\n  ({section} {body}))", (3, 4))
+       for section, body in ((":domain", "d"), (":requirements", ":strips"),
+                             (":objects", "o"), (":init", "(q)"), (":goal", "(q)"))},
 }
 
 

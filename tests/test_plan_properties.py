@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from poclkit.heuristics import (FEATURE_NAMES, build_tables, eval_add, feature_value,
-                                feature_vector, new_step_vectors)
+                                feature_vector, new_step_values)
 from poclkit.learning import LinearModel
 from poclkit.plans import (GOAL_STEP, INIT_STEP, OpenCondition, PartialPlan, Resolver,
                            apply_resolver, is_solution, linearize, new_step_base, null_plan,
@@ -166,16 +166,23 @@ def test_expand_children_match_cold_applications(seed, max_facts, depth):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2**32 - 1), max_facts=st.integers(3, 12), depth=st.integers(0, 20))
-def test_pending_new_step_children_rank_and_build_like_built_ones(seed, max_facts, depth):
-    # random tasks give +inf facts and actions adding other conditions' facts
+@given(seed=st.integers(0, 2**32 - 1), max_facts=st.integers(3, 12), depth=st.integers(0, 20),
+       mask=st.lists(st.integers(0, len(FEATURE_NAMES) - 1), unique=True),
+       weights=st.lists(st.floats(-4.0, 4.0), min_size=len(FEATURE_NAMES) + 1,
+                        max_size=len(FEATURE_NAMES) + 1))
+def test_pending_new_step_children_rank_and_build_like_built_ones(seed, max_facts, depth,
+                                                                   mask, weights):
+    # random tasks give +inf facts and actions adding other conditions' facts;
+    # a model of any mask, the empty one included, in any order, ranks from
+    # its masked features alone exactly as it predicts from the full vector
     rng = Random(seed)
     task = random_task(rng, max_facts=max_facts)
     tables = build_tables(task)
-    model = LinearModel((1.0, 0.5, 0.25, 2.0, 0.125, 3.0), -0.75, tuple(range(6)))
+    model = LinearModel(tuple(weights[:len(mask)]), weights[-1], tuple(mask))
+    model_ev = ModelEvaluator(model, tables)
     evaluators = [FeatureEvaluator(name, tables) for name in FEATURE_NAMES]
-    evaluators.append(ModelEvaluator(model, tables))
     plan = null_plan(task)
+    assert model_ev.rank(plan) == model.predict(feature_vector(plan, tables))
     for _ in range(depth):
         for oc in plan.open_conds:
             options = [r for r in resolvers(plan, oc, task) if r.kind == "new-step"]
@@ -185,10 +192,14 @@ def test_pending_new_step_children_rank_and_build_like_built_ones(seed, max_fact
             cold = [apply_resolver(plan, r) for r in options]
             assert [apply_resolver(plan, r, base) for r in options] == cold
             actions = [r.action for r in options]
-            assert new_step_vectors(base, tables, actions) == \
-                [feature_vector(child, tables) for child in cold]
+            vectors = [feature_vector(child, tables) for child in cold]
+            for i, name in enumerate(FEATURE_NAMES):
+                assert new_step_values(name, base, tables, actions) == [v[i] for v in vectors]
             for ev in evaluators:
                 assert ev.rank_new_steps(base, actions) == [ev.rank(child) for child in cold]
+            predicted = [model.predict(v) for v in vectors]
+            assert [model_ev.rank(child) for child in cold] == predicted
+            assert model_ev.rank_new_steps(base, actions) == predicted
         flaws = collect_flaws(plan)
         if not flaws:
             break
