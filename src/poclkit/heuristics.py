@@ -150,11 +150,13 @@ def feature_value(name: str, plan: PartialPlan, tables: CostTables) -> float:
 def _new_step_sums(base: NewStepBase, table: CostTable, reuse: bool,
                    actions: list[GroundAction]) -> list[float]:
     """``eval_add`` of each new-step child of ``base``, one per action, from
-    one pass over the base's open conditions: the sibling kernel.
+    one pass over the parent's open conditions: the sibling kernel.
 
     A child adds one step ``sid``, ordered only after a0, and its action
-    ``act``: its open conditions are the base's plus ``(p, sid)`` for each
-    ``p`` in ``act.pre``. A base condition ``(f, c)`` no parent step can
+    ``act``: its open conditions are the parent's less ``(base.fact,
+    base.consumer)``, plus ``(p, sid)`` for each ``p`` in ``act.pre``. No
+    parent condition's consumer is a0 or ``sid``, so its reuse test reads
+    the parent's closure. A parent condition ``(f, c)`` no parent step can
     supply becomes reusable iff ``f`` is in ``act.add``, since ``sid`` is
     never after ``c``; ``(p, sid)`` is reusable iff a parent step adding
     ``p`` is not after ``sid``. The base sum keeps its +inf terms as a count
@@ -163,9 +165,12 @@ def _new_step_sums(base: NewStepBase, table: CostTable, reuse: bool,
     so every sum is exact in any order and equals the built child's.
     """
     cost = table.fact_cost
-    producers, after = base.plan.producers, base.after
+    plan, q, qc = base.plan, base.fact, base.consumer
+    producers, after = plan.producers, plan.after
     total, infs, waiting = 0.0, 0, {}
-    for fact, consumer in base.open_conds:
+    for fact, consumer in plan.open_conds:
+        if consumer == qc and fact == q:
+            continue
         if reuse:
             if producers.get(fact, 0) & ~((1 << consumer) | after[consumer]):
                 continue
@@ -175,7 +180,7 @@ def _new_step_sums(base: NewStepBase, table: CostTable, reuse: bool,
             infs += 1
         else:
             total += c
-    sid_after = after[-1]
+    sid_after = base.step_after
     out = []
     for act in actions:
         child_total, child_infs = total, infs
@@ -207,6 +212,7 @@ def new_step_values(name: str, base: NewStepBase, tables: CostTables,
     if name == "h_gval":
         return [float(base.plan.action_count + 1)] * len(actions)
     if name == "h_oc":
-        return [float(len(base.open_conds) + len(act.pre)) for act in actions]
+        parent = len(base.plan.open_conds) - 1    # less the supported condition
+        return [float(parent + len(act.pre)) for act in actions]
     return _new_step_sums(base, *_sum_of(name, tables), actions)
 

@@ -62,7 +62,7 @@ class TrainingInstance:
 class DrawRecord:
     """One seed draw during dataset prep, for auditing pool updates."""
     problem: str
-    seed_index: int
+    seed_index: int       # the pool index drawn: the seed plan the draw refined
     solved: bool
     pool_before: int
     pool_after: int
@@ -121,7 +121,8 @@ def generate_dataset(tasks: Sequence[GroundTask], base_heuristic: str,
     Each draw takes a random plan from the pool and refines it with the base
     heuristic. A successful refinement emits one instance (features of the
     seed, target = new actions added) and feeds the plans generated along the
-    way back into the pool; a failed one contributes neither.
+    way back into the pool; a failed one contributes neither. Draws are
+    recorded by problem name, so two tasks with one name are a ValueError.
 
     A failed seed is searched once per problem. The pool only grows, so a
     pool index always names the same plan, and a failed search that ended
@@ -144,6 +145,12 @@ def generate_dataset(tasks: Sequence[GroundTask], base_heuristic: str,
         config = DatasetConfig()
     if base_heuristic not in FEATURE_NAMES:
         raise ValueError(f"unknown base heuristic {base_heuristic!r}")
+    names: dict[str, int] = {}
+    for pidx, task in enumerate(tasks):
+        if task.problem_name in names:
+            raise ValueError(f"tasks {names[task.problem_name]} and {pidx} share the problem "
+                             f"name {task.problem_name!r}")
+        names[task.problem_name] = pidx
     if not domain_name and tasks:
         domain_name = tasks[0].domain_name
 
@@ -175,7 +182,7 @@ def generate_dataset(tasks: Sequence[GroundTask], base_heuristic: str,
                     pool.extend(replay.generated_plans)
                 elif _settled(result, limits):
                     failed[index] = generated
-            dataset.draws.append(DrawRecord(task.problem_name, draw, solved,
+            dataset.draws.append(DrawRecord(task.problem_name, index, solved,
                                             before, len(pool), generated))
             log.debug("problem=%s draw=%d solved=%s generated=%d pool=%d",
                       task.problem_name, draw, solved, generated, len(pool))
@@ -400,6 +407,9 @@ def load_dataset(path: str, domain_name: str = "", base_heuristic: str = "",
                 *values, target = map(float, row)
             except ValueError as exc:
                 raise DatasetError(f"{where}: {exc}") from exc
+            for name, text, value in zip(FEATURE_NAMES, row, values):
+                if not math.isfinite(value):
+                    raise DatasetError(f"{where}: feature {name} {text!r} is not finite")
             if not (math.isfinite(target) and target.is_integer()):
                 raise DatasetError(f"{where}: target {row[-1]!r} is not a whole number")
             instances.append(TrainingInstance(FeatureVector(*values), int(target)))

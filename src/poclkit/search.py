@@ -9,7 +9,8 @@ A new-step child is queued pending, as its flaw's shared new-step base and
 its resolver, and built only when popped; about half of all generated plans
 are never popped. It is ranked at generation from ``new_step_values``, which
 gives the built child's features exactly, so the search is the same as if
-every child were built at once. A ``ModelEvaluator`` computes only the
+every child were built at once; the base builds what its children share
+only when the first of them is popped. A ``ModelEvaluator`` computes only the
 features its model's mask names, one ``feature_value`` or ``new_step_values``
 column each.
 """
@@ -127,9 +128,22 @@ def select_flaw(plan: PartialPlan, strategy: str, tables: CostTables) -> Flaw:
     if plan.threats:
         return plan.threats[-1]
     cost = (tables.plain if strategy == "mc-loc" else tables.effort).fact_cost
-    newest = plan.newest_step
-    local = [oc for oc in plan.open_conds if oc.consumer == newest]
-    return min(local or plan.open_conds, key=lambda oc: (-cost[oc.fact], oc.fact, oc.consumer))
+    newest = len(plan.steps) - 1
+    best, best_local, best_cost = None, False, 0.0
+    for oc in plan.open_conds:
+        fact, consumer = oc
+        local = consumer == newest
+        c = cost[fact]
+        if best is not None:    # keep ``best`` if ``oc`` is not local and it is, or comes later
+            if local != best_local:
+                if best_local:
+                    continue
+            elif c < best_cost or c == best_cost and oc >= best:
+                continue
+        best, best_local, best_cost = oc, local, c
+    if best is None:
+        raise ValueError("select_flaw: the plan has no flaw")
+    return best
 
 
 # A new-step child not built yet: its flaw's shared base and its resolver. A
@@ -151,7 +165,7 @@ def expand(plan: PartialPlan, task: GroundTask, strategy, tables: CostTables,
         select_flaw(plan, strategy, tables)
     children: list[Child] = []
     base = None
-    for res in resolvers(plan, flaw, task, max_copies=max_copies):
+    for res in resolvers(plan, flaw, task, max_copies):
         if res.kind == "new-step":
             if base is None:
                 base = new_step_base(plan, res.fact, res.consumer)
@@ -225,6 +239,8 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
     heap: list[tuple[float, int, int, Child, float]] = \
         [(rank0, plan0.action_count, 0, plan0, h0)]
     generated_plans: list[PartialPlan] = []
+    debug = log.isEnabledFor(logging.DEBUG)
+    max_generated, wall_time = limits.max_generated, limits.wall_time
 
     def finish(outcome: str, plan: Optional[PartialPlan] = None,
                node_id: Optional[int] = None) -> SearchResult:
@@ -241,33 +257,35 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
         return result
 
     while heap:
-        if time.monotonic() - start > limits.wall_time:
+        if time.monotonic() - start > wall_time:
             return finish("limit-hit")
         _, _, node_id, child, h_parent = heapq.heappop(heap)
         plan = built(child)
         visited += 1
         if is_solution(plan):
             return finish("solved", plan, node_id)
-        if log.isEnabledFor(logging.DEBUG) and visited % 5000 == 0:
+        if debug and visited % 5000 == 0:
             log.debug("visited=%d generated=%d queue=%d", visited, generated, len(heap))
 
-        children = expand(plan, task, strategy, tables, max_copies=max_copies)
+        children = expand(plan, task, strategy, tables, max_copies)
         if not children:
             continue
-        raws, counts, actions = [], [], []
+        raws, actions = [], []
         for ch in children:
             if type(ch) is tuple:
                 actions.append(ch[1].action)
             else:
                 raws.append(rank(ch))
-                counts.append(ch.action_count)
+        n = plan.action_count
+        counts = [n] * len(raws)    # reuse and ordering children add no step
         if actions:
             raws += rank_new_steps(children[-1][0], actions)
-            counts += [plan.action_count + 1] * len(actions)
-        best_i = _best_index(raws, counts)
+            counts += [n + 1] * len(actions)
+        if tracker is not None or record_trace:
+            best_i = _best_index(raws, counts)
 
         if tracker is not None:
-            cost = counts[best_i] - plan.action_count
+            cost = counts[best_i] - n
             if cost == 1 and math.isfinite(h_parent) and math.isfinite(raws[best_i]):
                 tracker.observe(step_error(h_parent, raws[best_i]))
             ranks = [tracker.enhance(r) for r in raws]
@@ -275,15 +293,14 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
             ranks = raws
 
         for i, child in enumerate(children):
-            if generated >= limits.max_generated:
+            if generated >= max_generated:
                 return finish("limit-hit")
-            child_id = generated
-            generated += 1
             if record_trace:
-                trace.append(TraceRow(child_id, node_id, raws[i], counts[i], i == best_i))
+                trace.append(TraceRow(generated, node_id, raws[i], counts[i], i == best_i))
             if collect_generated:
                 child = built(child)
                 generated_plans.append(child)
-            heapq.heappush(heap, (ranks[i], counts[i], child_id, child, raws[i]))
+            heapq.heappush(heap, (ranks[i], counts[i], generated, child, raws[i]))
+            generated += 1
 
     return finish("exhausted")

@@ -25,6 +25,16 @@ def collect_flaws(plan: PartialPlan) -> list[Flaw]:
     return list(threats) + list(ocs)
 
 
+def costliest_local_flaw(plan: PartialPlan, fact_cost) -> Flaw:
+    """The MC-/MW-Loc rule by its definition: the newest threat, else the
+    open condition of highest ``fact_cost`` among those of the newest step
+    (all of them if it has none), ties to the lowest fact, then consumer."""
+    if plan.threats:
+        return plan.threats[-1]
+    local = [oc for oc in plan.open_conds if oc.consumer == plan.newest_step]
+    return min(local or plan.open_conds, key=lambda oc: (-fact_cost[oc.fact], oc.fact, oc.consumer))
+
+
 def bellman_costs(task: GroundTask, variant: str) -> list[float]:
     """Value iteration over a dict, actions traversed in reversed order."""
     cost = {f: (0.0 if f in task.init else INF) for f in range(len(task.facts))}

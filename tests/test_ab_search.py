@@ -1,0 +1,33 @@
+"""tools/ab_search.py: two checkouts side by side in one process."""
+
+from __future__ import annotations
+
+import os
+import shutil
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+
+import ab_search  # noqa: E402
+
+
+def test_a_checkout_agrees_with_itself(capsys):
+    assert ab_search.main([ROOT, ROOT, "--workload", "suite-reuse", "--rounds", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "suite-reuse, 2 rounds, CPU seconds; outputs identical" in out
+    assert "B faster in" in out
+
+
+def test_checkouts_that_search_differently_are_reported(tmp_path, capsys):
+    # a copy whose copy bound is 1 generates other children on some problems
+    other = tmp_path / "other"
+    shutil.copytree(os.path.join(ROOT, "src", "poclkit"), other / "src" / "poclkit",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(os.path.join(ROOT, "tests", "fixtures"), other / "tests" / "fixtures")
+    plans = other / "src" / "poclkit" / "plans.py"
+    text = plans.read_text()
+    assert "\nMAX_COPIES = 2 " in text
+    plans.write_text(text.replace("\nMAX_COPIES = 2 ", "\nMAX_COPIES = 1 "))
+    assert ab_search.main([ROOT, str(other), "--workload", "suite-reuse", "--rounds", "1"]) == 1
+    assert "round 0: the sides differ" in capsys.readouterr().err

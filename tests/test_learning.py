@@ -134,9 +134,10 @@ def collecting_dataset(tasks, base_heuristic, config):
         tables = build_tables(task)
         evaluator = FeatureEvaluator(base_heuristic, tables)
         pool = [null_plan(task)]
-        for draw in range(config.seeds_per_problem):
+        for _ in range(config.seeds_per_problem):
             before = len(pool)
-            sp = pool[rng.randrange(before)]
+            index = rng.randrange(before)
+            sp = pool[index]
             result = gbfs(task, evaluator, config.strategy, limits, tables, root=sp,
                           max_copies=config.max_copies, collect_generated=True)
             if result.solved:
@@ -144,7 +145,7 @@ def collecting_dataset(tasks, base_heuristic, config):
                     feature_vector(sp, tables), result.plan.action_count - sp.action_count,
                     sp, result.plan))
                 pool.extend(result.generated_plans)
-            draws.append(DrawRecord(task.problem_name, draw, result.solved, before,
+            draws.append(DrawRecord(task.problem_name, index, result.solved, before,
                                     len(pool), result.generated))
     return draws, instances
 
@@ -185,6 +186,35 @@ def test_dataset_draws_and_instances_are_pinned():
         (3, (0.0, 1.0, 3.0, 9.0, 3.0, 9.0)), (2, (3.0, 4.0, 2.0, 6.0, 2.0, 6.0)),
         (0, (3.0, 1.0, 0.0, 0.0, 0.0, 0.0)), (5, (0.0, 2.0, 6.0, 18.0, 6.0, 18.0)),
         (4, (3.0, 4.0, 5.0, 15.0, 5.0, 15.0))]
+
+
+def test_draw_records_the_pool_index_it_drew():
+    # gripper-train-2 fails on the null plan, so every draw picks index 0 and
+    # the two after the first reuse its outcome; gripper-1 grows its pool
+    tasks = [load_fixture_task("gripper.pddl", p)
+             for p in ("gripper-1.pddl", "gripper-train-2.pddl")]
+    config = DatasetConfig(seeds_per_problem=3, seed_max_generated=4000, rng_seed=0)
+    dataset = generate_dataset(tasks, "h_add", config)
+    for pidx, task in enumerate(tasks):
+        rng = Random(f"{config.rng_seed}:{pidx}")
+        draws = [d for d in dataset.draws if d.problem == task.problem_name]
+        assert [d.seed_index for d in draws] == [rng.randrange(d.pool_before) for d in draws]
+        assert all(0 <= d.seed_index < d.pool_before for d in draws)
+    hopeless = [d for d in dataset.draws if d.problem == "gripper-train-2"]
+    assert [d.seed_index for d in hopeless] == [0, 0, 0]
+
+
+def test_tasks_sharing_a_problem_name_rejected(tmp_path, capsys):
+    task = load_fixture_task("gripper.pddl", "gripper-1.pddl")
+    with pytest.raises(ValueError, match=r"^tasks 0 and 1 share the problem name 'gripper-1'$"):
+        generate_dataset([task, task], "h_add", DatasetConfig(seeds_per_problem=2))
+    problem = fixture_path("gripper-1.pddl")
+    out = str(tmp_path / "d.csv")
+    code = cli.main(["learn", "dataset", fixture_path("gripper.pddl"), problem, problem,
+                     "--seeds-per-problem", "2", "--out", out])
+    assert code == cli.EXIT_INPUT
+    assert "share the problem name 'gripper-1'" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_failed_draw_keeps_only_its_open_list():
@@ -531,7 +561,7 @@ def test_hand_written_empty_mask_model_ranks_every_child_alike(tmp_path, interce
 
 def test_dataset_csv_round_trip(tmp_path):
     instances = [TrainingInstance(vec(1, 2, 3.5, 4, 0, 6), 7),
-                 TrainingInstance(vec(0, 0, INF, 0, 0, 0), 2)]
+                 TrainingInstance(vec(0, 0, 1e300, 0, 0, 0), 2)]
     dataset = synthetic_dataset(instances)
     path = str(tmp_path / "data.csv")
     save_dataset(dataset, path)
@@ -563,3 +593,23 @@ def test_dataset_target_not_a_whole_number_rejected(tmp_path, capsys, target):
         load_dataset(path)
     assert cli.main(["learn", "fit", path, "--out", str(tmp_path / "m.json")]) == cli.EXIT_INPUT
     assert f"{path}:3: target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, value", [(0, "nan"), (2, "inf"), (5, "-inf"), (3, "NaN")])
+def test_dataset_feature_not_finite_rejected(tmp_path, capsys, column, value):
+    # numpy would drop such a column in correlation_select with only warnings
+    path = str(tmp_path / "data.csv")
+    _write_dataset(path, ["3", "4"])
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    cells = lines[2].split(",")
+    cells[column] = value
+    lines[2] = ",".join(cells)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    message = f"{path}:3: feature {FEATURE_NAMES[column]} {value!r} is not finite"
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        load_dataset(path)
+    assert cli.main(["learn", "fit", path, "--out", str(tmp_path / "m.json")]) == cli.EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()

@@ -9,7 +9,7 @@ trusted to check themselves.
 from __future__ import annotations
 
 import copy
-from dataclasses import fields
+from dataclasses import fields, replace
 from random import Random
 
 from hypothesis import HealthCheck, given, settings
@@ -21,10 +21,10 @@ from poclkit.learning import LinearModel
 from poclkit.plans import (GOAL_STEP, INIT_STEP, OpenCondition, PartialPlan, Resolver,
                            apply_resolver, is_solution, linearize, new_step_base, null_plan,
                            random_linearization, resolvers, step_sequence, validate)
-from poclkit.search import FeatureEvaluator, ModelEvaluator, built, expand
+from poclkit.search import FeatureEvaluator, ModelEvaluator, built, expand, select_flaw
 
 from conftest import random_task
-from oracles import collect_flaws
+from oracles import collect_flaws, costliest_local_flaw
 
 
 def _reach(steps, edges) -> dict[int, set[int]]:
@@ -131,6 +131,33 @@ def test_random_refinements_match_brute_force(seed, max_facts, depth):
     if is_solution(plan):
         for _ in range(3):
             assert validate(task, step_sequence(plan, random_linearization(plan, rng)))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), max_facts=st.integers(2, 10), depth=st.integers(0, 25))
+def test_select_flaw_matches_its_definition(seed, max_facts, depth):
+    # random tasks give +inf and tied costs; a shuffled copy of each plan's
+    # open conditions puts the newest step's anywhere in the tuple
+    rng = Random(seed)
+    task = random_task(rng, max_facts=max_facts)
+    tables = build_tables(task)
+    plan = null_plan(task)
+    for _ in range(depth):
+        shuffled = replace(plan, open_conds=tuple(rng.sample(plan.open_conds,
+                                                             len(plan.open_conds))))
+        for p in (plan, shuffled):
+            if p.threats or p.open_conds:
+                for strategy, table in (("mc-loc", tables.plain), ("mw-loc", tables.effort)):
+                    assert select_flaw(p, strategy, tables) == \
+                        costliest_local_flaw(p, table.fact_cost)
+        flaws = collect_flaws(plan)
+        if not flaws:
+            break
+        options = [c for r in resolvers(plan, rng.choice(flaws), task)
+                   if (c := apply_resolver(plan, r)) is not None]
+        if not options:
+            break
+        plan = rng.choice(options)
 
 
 def _fields(plan) -> tuple:

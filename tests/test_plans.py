@@ -9,11 +9,11 @@ import pytest
 
 from poclkit.grounding import ground
 from poclkit.pddl import load_domain, load_problem
-from poclkit.plans import (GOAL_STEP, INIT_STEP, CausalLink, OpenCondition, Resolver, Threat,
-                           apply_resolver, earliest_slots, format_plan,
+from poclkit.plans import (GOAL_STEP, INIT_STEP, CausalLink, NewStepBase, OpenCondition,
+                           Resolver, Threat, apply_resolver, earliest_slots, format_plan,
                            is_solution, linearize, makespan, new_step_base, null_plan,
                            random_linearization, resolvers, step_sequence, validate)
-from poclkit.heuristics import build_tables
+from poclkit.heuristics import FEATURE_NAMES, build_tables, new_step_values
 from poclkit.search import FeatureEvaluator, SearchLimits, gbfs
 
 from conftest import fixture_path, make_task
@@ -217,6 +217,39 @@ def test_new_step_siblings_share_their_base(gripper2):
     assert first.links is second.links
     assert first.steps[-1] is not second.steps[-1]
     assert first.producers is not second.producers
+
+
+def _counting_completions(monkeypatch) -> list:
+    """Patch ``NewStepBase._complete`` to record each base it completes."""
+    completed, real = [], NewStepBase._complete
+
+    def completing(self):
+        completed.append(self)
+        real(self)
+
+    monkeypatch.setattr(NewStepBase, "_complete", completing)
+    return completed
+
+
+def test_new_step_base_builds_its_shared_part_once_for_the_first_child(gripper2, monkeypatch):
+    completed = _counting_completions(monkeypatch)
+    tables = build_tables(gripper2)
+    plan = null_plan(gripper2)
+    flaw = OpenCondition(gripper2.fact_ids["(at ball1 roomb)"], GOAL_STEP)
+    options = resolvers(plan, flaw, gripper2)
+    base = new_step_base(plan, flaw.fact, flaw.consumer)
+    for name in FEATURE_NAMES:    # ranking the children reads no shared field
+        new_step_values(name, base, tables, [r.action for r in options])
+    assert completed == []
+    first, second = [apply_resolver(plan, r, base) for r in options]
+    assert completed == [base]
+    assert first.after is second.after is base.after
+    assert first.links is second.links is base.links
+    shared = len(base.open_conds)
+    assert shared == len(plan.open_conds) - 1
+    for child in (first, second):
+        assert all(a is b for a, b in zip(child.open_conds[:shared], base.open_conds))
+    assert base.threats == plan.threats + tuple(base.on_link)
 
 
 def test_new_step_on_another_plan_after_a_sibling_batch(gripper2):

@@ -12,7 +12,7 @@ import pytest
 from poclkit import search
 from poclkit.heuristics import FEATURE_NAMES, build_tables
 from poclkit.learning import LinearModel
-from poclkit.plans import (GOAL_STEP, OpenCondition, PartialPlan, Resolver, Threat,
+from poclkit.plans import (GOAL_STEP, NewStepBase, OpenCondition, PartialPlan, Resolver, Threat,
                            apply_resolver, is_solution, null_plan, random_linearization,
                            resolvers, step_sequence, validate)
 from poclkit.search import (EnhancedEvaluator, FeatureEvaluator, ModelEvaluator, SearchLimits,
@@ -87,6 +87,15 @@ def test_unknown_strategy_rejected(chain_task):
     tables = build_tables(chain_task)
     with pytest.raises(ValueError):
         select_flaw(null_plan(chain_task), "newest-first", tables)
+
+
+def test_plan_without_flaws_rejected():
+    task = make_task(2, [({0}, {1}, set())], {0}, set())    # empty goal
+    plan = null_plan(task)
+    assert is_solution(plan)
+    for strategy in ("mc-loc", "mw-loc"):
+        with pytest.raises(ValueError, match="no flaw"):
+            select_flaw(plan, strategy, build_tables(task))
 
 
 def test_custom_flaw_selector_callable(chain_task):
@@ -345,3 +354,34 @@ def test_visited_plans_are_freed(monkeypatch):
     assert result.solved and result.visited > 1000
     assert seen["open"] > 100
     assert seen["live"] <= seen["open"] + 2
+
+
+def test_only_a_base_with_a_built_child_builds_its_shared_part(monkeypatch):
+    # a flaw none of whose new-step children is popped never builds the
+    # closure, links, open conditions and threats its children would share
+    made, built_from, completed = [], [], []
+    real_base, real_apply, real_complete = (search.new_step_base, search.apply_resolver,
+                                            NewStepBase._complete)
+
+    def making(plan, q, c):
+        made.append(real_base(plan, q, c))
+        return made[-1]
+
+    def applying(plan, res, base=None):
+        if base is not None:
+            built_from.append(base)
+        return real_apply(plan, res, base)
+
+    def completing(self):
+        completed.append(self)
+        real_complete(self)
+
+    monkeypatch.setattr(search, "new_step_base", making)
+    monkeypatch.setattr(search, "apply_resolver", applying)
+    monkeypatch.setattr(NewStepBase, "_complete", completing)
+    task = load_fixture_task("gripper.pddl", "gripper-3.pddl")
+    tables = build_tables(task)
+    gbfs(task, FeatureEvaluator("h_add", tables), limits=SearchLimits(2000), tables=tables)
+    assert len({id(b) for b in completed}) == len(completed)     # once each
+    assert {id(b) for b in completed} == {id(b) for b in built_from}
+    assert 0 < len(completed) < len(made)

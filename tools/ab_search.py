@@ -1,0 +1,169 @@
+"""In-process A/B timing of the planner's searches in two checkouts.
+
+    python3 tools/ab_search.py BASE_CHECKOUT CHANGED_CHECKOUT \
+        --workload suite-plain --rounds 15
+
+Each checkout's ``src/poclkit`` is loaded under its own package name
+(``poclkit_a``, ``poclkit_b``) into this one process, and its problems are
+read from its own ``tests/fixtures``. Parsing, grounding and cost tables are
+done once per side, outside the timing. A round runs the workload's searches
+once on each side, in alternating order (A then B, then B then A), and times
+each side in CPU seconds after a garbage collection; so the two sides share
+the host's drift. Every round asserts that both sides give identical
+(outcome, generated, visited, plan length) for every search, and for
+``learn`` identical dataset draws and model weights.
+
+Workloads, as in the benchmark of the same names but calling ``gbfs``
+directly (no report, no plan files):
+
+- ``suite-plain``: the 15 bundled problems x h_gval, h_oc, h_add, h_add_w;
+- ``suite-reuse``: the same problems x h_add_r, h_add_w_r;
+- ``learn``: the seed-pool dataset on the 9 Gripper training problems
+  (2 seeds each, rng seed 0, 8,000-node draws), the correlation mask and the
+  OLS fit, then h_add and the enhanced model on gripper-3.
+
+The suites search mw-loc at 2,000 generated nodes, learn at 8,000. The
+output is the min and median CPU seconds per side and the ratio B/A of the
+medians and of each round.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+import time
+
+SUITE_PROBLEMS = {
+    "gripper": ("gripper-1", "gripper-2", "gripper-3", "gripper-4"),
+    "logistics": ("logistics-2a", "logistics-2b", "logistics-2c", "logistics-3a",
+                  "logistics-3b"),
+    "blocks": ("blocks-2", "blocks-3", "blocks-4", "blocks-5", "blocks-rev-2",
+               "blocks-rev-3"),
+}
+SUITE_FEATURES = {
+    "suite-plain": ("h_gval", "h_oc", "h_add", "h_add_w"),
+    "suite-reuse": ("h_add_r", "h_add_w_r"),
+}
+TRAIN_PROBLEMS = ("gripper-1", "gripper-2") + tuple(f"gripper-train-{i}" for i in range(1, 8))
+LEARN_TEST_PROBLEM = "gripper-3"
+SUITE_BUDGET = 2000
+LEARN_BUDGET = 8000
+WALL_LIMIT = 60.0
+WORKLOADS = tuple(SUITE_FEATURES) + ("learn",)
+
+
+def load_package(checkout: str, alias: str):
+    """``checkout``'s ``src/poclkit`` imported as the package ``alias``; the
+    package imports its own modules relatively, so two copies coexist."""
+    for name in [m for m in sys.modules if m == alias or m.startswith(alias + ".")]:
+        del sys.modules[name]    # a package loaded earlier under this name
+    pkg_dir = os.path.join(checkout, "src", "poclkit")
+    spec = importlib.util.spec_from_file_location(
+        alias, os.path.join(pkg_dir, "__init__.py"), submodule_search_locations=[pkg_dir])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+class Side:
+    """One checkout's package, tasks and cost tables for a workload."""
+
+    def __init__(self, checkout: str, alias: str, workload: str):
+        load_package(checkout, alias)
+        self.grounding = importlib.import_module(alias + ".grounding")
+        self.heuristics = importlib.import_module(alias + ".heuristics")
+        self.learning = importlib.import_module(alias + ".learning")
+        self.search = importlib.import_module(alias + ".search")
+        self.workload = workload
+        fixtures = os.path.join(checkout, "tests", "fixtures")
+        if workload == "learn":
+            problems = list(TRAIN_PROBLEMS) + [LEARN_TEST_PROBLEM]
+        else:
+            problems = [p for group in SUITE_PROBLEMS.values() for p in group]
+        self.tasks = {}
+        for name in problems:
+            domain = os.path.join(fixtures, name.split("-")[0] + ".pddl")
+            task = self.grounding.load_task(domain, os.path.join(fixtures, name + ".pddl"))
+            self.tasks[name] = (task, self.heuristics.build_tables(task))
+
+    def _search(self, name: str, evaluator, budget: int) -> tuple:
+        task, tables = self.tasks[name]
+        result = self.search.gbfs(task, evaluator, "mw-loc",
+                                  self.search.SearchLimits(budget, WALL_LIMIT), tables)
+        return (name, result.outcome, result.generated, result.visited, result.plan_length)
+
+    def run(self) -> list:
+        """One pass of the workload; what both sides must agree on."""
+        search = self.search
+        if self.workload != "learn":
+            return [self._search(name, search.FeatureEvaluator(feature, tables), SUITE_BUDGET)
+                    for feature in SUITE_FEATURES[self.workload]
+                    for name, (_, tables) in self.tasks.items()]
+        learning = self.learning
+        config = learning.DatasetConfig(seeds_per_problem=2, seed_max_generated=LEARN_BUDGET,
+                                        seed_wall_time=WALL_LIMIT, rng_seed=0)
+        dataset = learning.generate_dataset([self.tasks[p][0] for p in TRAIN_PROBLEMS],
+                                            "h_add", config)
+        model = learning.fit_linear(dataset, learning.correlation_select(dataset))
+        tables = self.tasks[LEARN_TEST_PROBLEM][1]
+        out = [(d.problem, d.solved, d.pool_before, d.pool_after, d.generated)
+               for d in dataset.draws]
+        out.append((model.mask, model.weights, model.intercept))
+        for evaluator in (search.FeatureEvaluator("h_add", tables),
+                          search.EnhancedEvaluator(search.ModelEvaluator(model, tables))):
+            out.append(self._search(LEARN_TEST_PROBLEM, evaluator, LEARN_BUDGET))
+        return out
+
+
+def timed(side: Side) -> tuple[float, list]:
+    gc.collect()
+    start = time.process_time()
+    out = side.run()
+    return time.process_time() - start, out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="checkout A (its src/poclkit and tests/fixtures)")
+    parser.add_argument("changed", help="checkout B")
+    parser.add_argument("--workload", choices=WORKLOADS, default="suite-plain")
+    parser.add_argument("--rounds", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
+
+    sides = {"A": Side(args.base, "poclkit_a", args.workload),
+             "B": Side(args.changed, "poclkit_b", args.workload)}
+    times: dict[str, list[float]] = {"A": [], "B": []}
+    for rnd in range(args.rounds):
+        outputs = {}
+        for label in ("A", "B") if rnd % 2 == 0 else ("B", "A"):
+            seconds, outputs[label] = timed(sides[label])
+            times[label].append(seconds)
+        if outputs["A"] != outputs["B"]:
+            pairs = [(a, b) for a, b in zip(outputs["A"], outputs["B"]) if a != b]
+            where = f"A {pairs[0][0]} vs B {pairs[0][1]}" if pairs else "in length"
+            print(f"round {rnd}: the sides differ: {where}", file=sys.stderr)
+            return 1
+        print(f"round {rnd}: A {times['A'][-1]:.3f} s  B {times['B'][-1]:.3f} s  "
+              f"B/A {times['B'][-1] / times['A'][-1]:.3f}")
+
+    ratios = sorted(b / a for a, b in zip(times["A"], times["B"]))
+    print(f"workload {args.workload}, {args.rounds} rounds, CPU seconds; outputs identical")
+    for label, path in (("A", args.base), ("B", args.changed)):
+        print(f"  {label} min {min(times[label]):.3f}  median "
+              f"{statistics.median(times[label]):.3f}  ({path})")
+    print(f"  B/A of medians {statistics.median(times['B']) / statistics.median(times['A']):.3f}; "
+          f"per round min {ratios[0]:.3f} median {statistics.median(ratios):.3f} "
+          f"max {ratios[-1]:.3f}; B faster in {sum(r < 1 for r in ratios)}/{len(ratios)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
