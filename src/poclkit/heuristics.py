@@ -3,9 +3,10 @@
 Six features per plan: the action count, the open-condition count, and four
 delete-relaxation sums (additive cost and additive effort, each with and
 without credit for facts an existing step can already supply). The cost
-tables are computed once per task from the initial state. ``new_step_values``
-gives one feature of each new-step child of one open condition without
-building the children.
+tables are computed once per task from the initial state. ``feature_value``
+gives one feature of a built plan (``feature_vector`` is its six values);
+``new_step_values`` gives one feature of each new-step child of one open
+condition without building the children.
 """
 
 from __future__ import annotations
@@ -102,27 +103,6 @@ def eval_add(plan: PartialPlan, table: CostTable, reuse: bool = False) -> float:
     return total
 
 
-def feature_vector(plan: PartialPlan, tables: CostTables) -> FeatureVector:
-    """All six features, in the fixed (g, oc, add, add_w, add_r, add_w_r) order:
-    the real-action count, the open-condition count and the four sums.
-
-    One pass over the open conditions; the reusability test (as in
-    ``eval_add``) is shared by the two discounted sums.
-    """
-    producers, after = plan.producers, plan.after
-    add = add_w = add_r = add_w_r = 0.0
-    for fact, consumer in plan.open_conds:
-        plain = tables.plain.fact_cost[fact]
-        effort = tables.effort.fact_cost[fact]
-        add += plain
-        add_w += effort
-        if not producers.get(fact, 0) & ~((1 << consumer) | after[consumer]):
-            add_r += plain
-            add_w_r += effort
-    return FeatureVector(float(plan.action_count), float(len(plan.open_conds)),
-                         add, add_w, add_r, add_w_r)
-
-
 # The four sums by feature name: (cost table, credit for reusable facts).
 _SUMS = {"h_add": ("plain", False), "h_add_w": ("effort", False),
          "h_add_r": ("plain", True), "h_add_w_r": ("effort", True)}
@@ -137,14 +117,18 @@ def _sum_of(name: str, tables: CostTables) -> tuple[CostTable, bool]:
 
 
 def feature_value(name: str, plan: PartialPlan, tables: CostTables) -> float:
-    """One named feature, equal to ``feature_vector(plan, tables)`` at that
-    name. Kept beside the vector because one sum costs about a third of the
-    whole vector, and a single-feature evaluator needs only the one."""
+    """One named feature of a built plan: the one kernel behind both a
+    single-feature evaluator and ``feature_vector``."""
     if name == "h_gval":
         return float(plan.action_count)
     if name == "h_oc":
         return float(len(plan.open_conds))
     return eval_add(plan, *_sum_of(name, tables))
+
+
+def feature_vector(plan: PartialPlan, tables: CostTables) -> FeatureVector:
+    """All six features, in the fixed (g, oc, add, add_w, add_r, add_w_r) order."""
+    return FeatureVector(*[feature_value(name, plan, tables) for name in FEATURE_NAMES])
 
 
 def _new_step_sums(base: NewStepBase, table: CostTable, reuse: bool,

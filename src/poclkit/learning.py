@@ -382,6 +382,12 @@ DATASET_HEADER = FEATURE_NAMES + ("target",)
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
+    """Write a dataset CSV that ``load_dataset`` reads back. A NaN or
+    infinite feature raises DatasetError before the file is opened."""
+    for index, inst in enumerate(dataset.instances):
+        for name, value in zip(FEATURE_NAMES, inst.features):
+            if not math.isfinite(value):
+                raise DatasetError(f"instance {index}: feature {name} {value!r} is not finite")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_HEADER)

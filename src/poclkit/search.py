@@ -217,7 +217,10 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
     as it is queued, after it is ranked the same way, and keeps every
     generated plan alive on purpose. Node ids (trace rows,
     ``solution_node_id``) number plans in generation order, the root 0.
+    A ``max_copies`` below 1 raises ValueError.
     """
+    if max_copies is not None and not max_copies >= 1:
+        raise ValueError(f"max_copies must be None or >= 1, got {max_copies!r}")
     if limits is None:
         limits = SearchLimits()
     if tables is None:

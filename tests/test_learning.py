@@ -572,6 +572,18 @@ def test_dataset_csv_round_trip(tmp_path):
     assert [i.target for i in back.instances] == [7, 2]
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_save_dataset_rejects_a_feature_that_is_not_finite(tmp_path, value):
+    # ``load_dataset`` would reject the file, so none is written
+    instances = [TrainingInstance(vec(1, 2, 3, 4, 5, 6), 7),
+                 TrainingInstance(vec(0, 0, 1, 0, value, 0), 2)]
+    path = tmp_path / "data.csv"
+    with pytest.raises(DatasetError,
+                       match=re.escape(f"instance 1: feature h_add_r {value!r} is not finite")):
+        save_dataset(synthetic_dataset(instances), str(path))
+    assert not path.exists()
+
+
 def _write_dataset(path, targets):
     with open(path, "w") as fh:
         fh.write(",".join(learning.DATASET_HEADER) + "\n")

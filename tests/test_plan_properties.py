@@ -15,8 +15,7 @@ from random import Random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from poclkit.heuristics import (FEATURE_NAMES, build_tables, eval_add, feature_value,
-                                feature_vector, new_step_values)
+from poclkit.heuristics import FEATURE_NAMES, build_tables, feature_vector, new_step_values
 from poclkit.learning import LinearModel
 from poclkit.plans import (GOAL_STEP, INIT_STEP, OpenCondition, PartialPlan, Resolver,
                            apply_resolver, is_solution, linearize, new_step_base, null_plan,
@@ -70,18 +69,22 @@ def _check_plan(task, tables, plan, edges):
     assert set(plan.threats) == _threats(plan, reach)
     assert len(set(plan.threats)) == len(plan.threats)
 
-    expected_add_r = 0.0
+    # all six features from the plan's steps and open conditions: the reuse
+    # sums skip conditions a brute-force scan finds a reuser for
+    plain, effort = tables.plain.fact_cost, tables.effort.fact_cost
+    expected = dict.fromkeys(FEATURE_NAMES, 0.0)
+    expected["h_gval"] = float(len(plan.steps) - 2)    # less a0 and a_inf
+    expected["h_oc"] = float(len(plan.open_conds))
     for fact, consumer in plan.open_conds:
         reuse = [r.producer for r in resolvers(plan, OpenCondition(fact, consumer), task)
                  if r.kind == "reuse"]
         assert reuse == _reusers(plan, reach, fact, consumer)
+        expected["h_add"] += plain[fact]
+        expected["h_add_w"] += effort[fact]
         if not reuse:
-            expected_add_r += tables.plain.fact_cost[fact]
-    assert eval_add(plan, tables.plain, reuse=True) == expected_add_r
-    # the single-feature kernel and the full vector agree on every feature
-    vector = feature_vector(plan, tables)
-    for i, name in enumerate(FEATURE_NAMES):
-        assert feature_value(name, plan, tables) == vector[i]
+            expected["h_add_r"] += plain[fact]
+            expected["h_add_w_r"] += effort[fact]
+    assert feature_vector(plan, tables)._asdict() == expected
 
     order, done = linearize(plan), set()
     assert sorted(order) == list(range(len(plan.steps)))

@@ -232,6 +232,15 @@ def test_search_limits_reject_limits_no_search_can_meet(max_generated, wall_time
         SearchLimits(max_generated, wall_time)
 
 
+@pytest.mark.parametrize("max_copies", [0, -1, -3])
+def test_gbfs_rejects_max_copies_below_one(gripper2, gripper2_tables, max_copies):
+    # ``resolvers`` cuts an adder only once the fact has a producer besides
+    # a0, so a bound below 1 would still let the search run and solve
+    with pytest.raises(ValueError, match=rf"^max_copies must be None or >= 1, got {max_copies}$"):
+        gbfs(gripper2, FeatureEvaluator("h_add", gripper2_tables), "mw-loc",
+             tables=gripper2_tables, max_copies=max_copies)
+
+
 def test_search_limits_accept_boundaries():
     limits = SearchLimits(1, math.inf)
     assert (limits.max_generated, limits.wall_time) == (1, math.inf)

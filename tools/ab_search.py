@@ -14,17 +14,17 @@ the host's drift. Every round asserts that both sides give identical
 ``learn`` identical dataset draws and model weights.
 
 Workloads, as in the benchmark of the same names but calling ``gbfs``
-directly (no report, no plan files):
+directly (no report, no plan files); their problems, evaluators, node budgets
+and seeds are imported from this checkout's ``perfbench/workloads.py``:
 
 - ``suite-plain``: the 15 bundled problems x h_gval, h_oc, h_add, h_add_w;
 - ``suite-reuse``: the same problems x h_add_r, h_add_w_r;
-- ``learn``: the seed-pool dataset on the 9 Gripper training problems
-  (2 seeds each, rng seed 0, 8,000-node draws), the correlation mask and the
-  OLS fit, then h_add and the enhanced model on gripper-3.
+- ``learn``: the seed-pool dataset on the 9 Gripper training problems from
+  the base feature h_add, the correlation mask and the OLS fit, then h_add
+  and the enhanced model on gripper-3.
 
-The suites search mw-loc at 2,000 generated nodes, learn at 8,000. The
-output is the min and median CPU seconds per side and the ratio B/A of the
-medians and of each round.
+Every search is mw-loc. The output is the min and median CPU seconds per
+side and the ratio B/A of the medians and of each round.
 """
 
 from __future__ import annotations
@@ -38,23 +38,17 @@ import statistics
 import sys
 import time
 
-SUITE_PROBLEMS = {
-    "gripper": ("gripper-1", "gripper-2", "gripper-3", "gripper-4"),
-    "logistics": ("logistics-2a", "logistics-2b", "logistics-2c", "logistics-3a",
-                  "logistics-3b"),
-    "blocks": ("blocks-2", "blocks-3", "blocks-4", "blocks-5", "blocks-rev-2",
-               "blocks-rev-3"),
-}
-SUITE_FEATURES = {
-    "suite-plain": ("h_gval", "h_oc", "h_add", "h_add_w"),
-    "suite-reuse": ("h_add_r", "h_add_w_r"),
-}
-TRAIN_PROBLEMS = ("gripper-1", "gripper-2") + tuple(f"gripper-train-{i}" for i in range(1, 8))
-LEARN_TEST_PROBLEM = "gripper-3"
-SUITE_BUDGET = 2000
-LEARN_BUDGET = 8000
-WALL_LIMIT = 60.0
-WORKLOADS = tuple(SUITE_FEATURES) + ("learn",)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]    # as perfbench/run.py does
+
+from perfbench.workloads import (LEARN_BASE, LEARN_DATASET_SEED,  # noqa: E402
+                                 LEARN_SEEDS_PER_PROBLEM, LEARN_TEST_PROBLEM, NODE_BUDGET,
+                                 SUITE_EVALUATORS, SUITE_PROBLEMS, TRAIN_PROBLEMS, WALL_LIMIT,
+                                 WORKLOADS)
+from poclkit.bench import base_feature  # noqa: E402
+
+SUITE_FEATURES = {workload: tuple(map(base_feature, specs))
+                  for workload, specs in SUITE_EVALUATORS.items()}
 
 
 def load_package(checkout: str, alias: str):
@@ -92,32 +86,33 @@ class Side:
             task = self.grounding.load_task(domain, os.path.join(fixtures, name + ".pddl"))
             self.tasks[name] = (task, self.heuristics.build_tables(task))
 
-    def _search(self, name: str, evaluator, budget: int) -> tuple:
+    def _search(self, name: str, evaluator) -> tuple:
         task, tables = self.tasks[name]
-        result = self.search.gbfs(task, evaluator, "mw-loc",
-                                  self.search.SearchLimits(budget, WALL_LIMIT), tables)
+        limits = self.search.SearchLimits(NODE_BUDGET[self.workload], WALL_LIMIT)
+        result = self.search.gbfs(task, evaluator, "mw-loc", limits, tables)
         return (name, result.outcome, result.generated, result.visited, result.plan_length)
 
     def run(self) -> list:
         """One pass of the workload; what both sides must agree on."""
         search = self.search
         if self.workload != "learn":
-            return [self._search(name, search.FeatureEvaluator(feature, tables), SUITE_BUDGET)
+            return [self._search(name, search.FeatureEvaluator(feature, tables))
                     for feature in SUITE_FEATURES[self.workload]
                     for name, (_, tables) in self.tasks.items()]
         learning = self.learning
-        config = learning.DatasetConfig(seeds_per_problem=2, seed_max_generated=LEARN_BUDGET,
-                                        seed_wall_time=WALL_LIMIT, rng_seed=0)
+        config = learning.DatasetConfig(seeds_per_problem=LEARN_SEEDS_PER_PROBLEM,
+                                        seed_max_generated=NODE_BUDGET["learn"],
+                                        seed_wall_time=WALL_LIMIT, rng_seed=LEARN_DATASET_SEED)
         dataset = learning.generate_dataset([self.tasks[p][0] for p in TRAIN_PROBLEMS],
-                                            "h_add", config)
+                                            LEARN_BASE, config)
         model = learning.fit_linear(dataset, learning.correlation_select(dataset))
         tables = self.tasks[LEARN_TEST_PROBLEM][1]
         out = [(d.problem, d.solved, d.pool_before, d.pool_after, d.generated)
                for d in dataset.draws]
         out.append((model.mask, model.weights, model.intercept))
-        for evaluator in (search.FeatureEvaluator("h_add", tables),
+        for evaluator in (search.FeatureEvaluator(LEARN_BASE, tables),
                           search.EnhancedEvaluator(search.ModelEvaluator(model, tables))):
-            out.append(self._search(LEARN_TEST_PROBLEM, evaluator, LEARN_BUDGET))
+            out.append(self._search(LEARN_TEST_PROBLEM, evaluator))
         return out
 
 
