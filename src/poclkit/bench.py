@@ -11,11 +11,11 @@ once for the cells it runs of it in a row: all of them when run serially.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 import os
 import re
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -105,8 +105,22 @@ class SuiteConfig:
     max_copies: Optional[int] = MAX_COPIES
 
 
-SUITE_KEYS = frozenset({"domain", "flaws", "max_nodes", "timeout", "out_dir", "seed",
-                        "workers", "max_copies"})
+# Each optional suite-config key: (its SuiteConfig field, the parser of its
+# text, the check a value must pass, what a value must be). A key the config
+# leaves out takes its field's SuiteConfig default; ``run_suite`` applies the
+# same checks to a config built in code.
+SETTINGS = {
+    "flaws": ("strategy", str, lambda s: s in STRATEGIES, " or ".join(STRATEGIES)),
+    "max_nodes": ("max_generated", int, lambda n: n > 0, "a positive integer"),
+    "timeout": ("wall_time", float, lambda t: t > 0, "a positive number"),
+    "seed": ("rng_seed", int, lambda n: True, "an integer"),
+    "workers": ("workers", int, lambda n: n >= 0,
+                "0 (one per logical core) or a positive integer"),
+    "max_copies": ("max_copies", lambda v: None if v == "none" else int(v),
+                   lambda n: n is None or n > 0, "a positive integer or none"),
+}
+
+SUITE_KEYS = frozenset(SETTINGS) | {"domain", "out_dir"}
 
 
 def _add_once(seen: dict[str, int], item: str, what: str, lineno: int) -> None:
@@ -166,11 +180,10 @@ def parse_suite_config(text: str, base_dir: str = ".") -> SuiteConfig:
     if not evaluators:
         raise ValueError("suite config needs at least one evaluator=")
 
-    def setting(key: str, parse, default, ok, need: str):
-        """The value of ``key`` read by ``parse``, or ``default`` when absent;
-        an unreadable value or one failing ``ok`` is an error naming the line."""
+    settings = {}
+    for key, (name, parse, ok, need) in SETTINGS.items():
         if key not in values:
-            return default
+            continue
         try:
             value = parse(values[key])
             bad = not ok(value)
@@ -179,28 +192,11 @@ def parse_suite_config(text: str, base_dir: str = ".") -> SuiteConfig:
         if bad:
             raise ValueError(f"suite config line {key_lines[key]}: {key} must be {need}, "
                              f"got {values[key]!r}")
-        return value
+        settings[name] = value
 
-    def positive(n) -> bool:
-        return n > 0
-
-    return SuiteConfig(
-        domain=rebase(values["domain"]),
-        problems=list(problems),
-        evaluators=list(evaluators),
-        strategy=setting("flaws", str, "mw-loc", lambda s: s in STRATEGIES,
-                         " or ".join(STRATEGIES)),
-        max_generated=setting("max_nodes", int, SearchLimits.max_generated, positive,
-                              "a positive integer"),
-        wall_time=setting("timeout", float, SearchLimits.wall_time, positive,
-                          "a positive number"),
-        out_dir=rebase(values.get("out_dir", "bench-out")),
-        rng_seed=setting("seed", int, 0, lambda n: True, "an integer"),
-        workers=setting("workers", int, 0, lambda n: n >= 0,
-                        "0 (one per logical core) or a positive integer"),
-        max_copies=setting("max_copies", lambda v: None if v == "none" else int(v), MAX_COPIES,
-                           lambda n: n is None or n > 0, "a positive integer or none"),
-    )
+    return SuiteConfig(domain=rebase(values["domain"]), problems=list(problems),
+                       evaluators=list(evaluators),
+                       out_dir=rebase(values.get("out_dir", SuiteConfig.out_dir)), **settings)
 
 
 # ── Suite execution ──────────────────────────────────────────────────────────
@@ -235,21 +231,14 @@ def _problem_name(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-# The last problem loaded in this process: ((domain, problem), (task, tables)).
 # Cells run problem by problem, so a problem's later cells find its task and
-# tables here (searches read both and change neither); a pool worker keeps its
-# own. ``run_suite`` empties it before and after a suite, so a suite reads
-# every file anew and leaves no task alive behind it.
-_last_task: Optional[tuple[tuple[str, str], tuple[GroundTask, CostTables]]] = None
-
-
+# tables in the cache (searches read both and change neither); a pool worker
+# keeps its own. ``run_suite`` clears it before and after a suite, so a suite
+# reads every file anew and leaves no task alive behind it.
+@functools.lru_cache(maxsize=1)
 def _load(domain_path: str, problem_path: str) -> tuple[GroundTask, CostTables]:
-    global _last_task
-    key = (domain_path, problem_path)
-    if _last_task is None or _last_task[0] != key:
-        task = load_task(domain_path, problem_path)
-        _last_task = (key, (task, build_tables(task)))
-    return _last_task[1]
+    task = load_task(domain_path, problem_path)
+    return task, build_tables(task)
 
 
 def _run_cell(args: tuple) -> CellResult:
@@ -258,16 +247,14 @@ def _run_cell(args: tuple) -> CellResult:
     try:
         task, tables = _load(domain_path, problem_path)
         evaluator = build_evaluator(eval_spec, tables)
-        start = time.monotonic()
         result = gbfs(task, evaluator, strategy,
                       SearchLimits(max_generated, wall_time), tables,
                       max_copies=max_copies)
-        elapsed = time.monotonic() - start
         if result.solved:
             return CellResult(problem_name, eval_spec, True, result.plan_length,
-                              result.makespan, elapsed, result.visited, result.generated,
-                              plan_text=format_plan(result.plan))
-        return CellResult(problem_name, eval_spec, False, None, None, elapsed,
+                              result.makespan, result.elapsed, result.visited,
+                              result.generated, plan_text=format_plan(result.plan))
+        return CellResult(problem_name, eval_spec, False, None, None, result.elapsed,
                           result.visited, result.generated, error=result.outcome)
     except Exception as exc:  # a failing cell must not abort the suite
         log.warning("cell %s/%s failed: %s", problem_name, eval_spec, exc)
@@ -330,10 +317,14 @@ def write_report_csv(rows: list[CellResult], path: str) -> None:
 def run_suite(config: SuiteConfig) -> ScoreReport:
     """Run every problem under every evaluator, score, and write the report.
 
-    Rows are keyed by the problem's file stem, so two problems with one stem
-    are a ``ValueError``.
+    A setting that fails its ``SETTINGS`` check, and two problems with one
+    file stem (the key of the rows), are a ``ValueError`` raised before any
+    cell runs.
     """
-    global _last_task
+    for name, _, ok, need in SETTINGS.values():
+        value = getattr(config, name)
+        if not ok(value):
+            raise ValueError(f"{name} must be {need}, got {value!r}")
     paths: dict[str, str] = {}
     for problem in config.problems:
         name = _problem_name(problem)
@@ -345,7 +336,7 @@ def run_suite(config: SuiteConfig) -> ScoreReport:
              for problem in config.problems
              for evaluator in config.evaluators]
 
-    _last_task = None
+    _load.cache_clear()
     workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
     try:
         if workers > 1 and len(cells) > 1:
@@ -354,7 +345,7 @@ def run_suite(config: SuiteConfig) -> ScoreReport:
         else:
             rows = [_run_cell(cell) for cell in cells]
     finally:
-        _last_task = None
+        _load.cache_clear()
 
     _score_rows(rows)
     aggregates = _aggregate(rows, config.evaluators)

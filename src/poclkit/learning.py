@@ -318,20 +318,24 @@ def fit_linear(dataset: Dataset, mask: Sequence[int]) -> LinearModel:
 
 # ── Persistence ──────────────────────────────────────────────────────────────
 
+# A model file's provenance fields with the value each takes when absent, and
+# the fit statistics it holds when its fit gave them.
+MODEL_PROVENANCE = (("domain", ""), ("base_heuristic", ""), ("technique", "linear_regression"),
+                    ("instances", 0), ("seed", 0))
+FIT_STATISTICS = ("r2", "residual_std", "ridge")
+
+
+def _model_metadata(source: dict) -> dict:
+    """The provenance fields of ``source`` or their defaults, then the fit
+    statistics ``source`` has."""
+    metadata = {key: source.get(key, default) for key, default in MODEL_PROVENANCE}
+    metadata.update((key, source[key]) for key in FIT_STATISTICS if key in source)
+    return metadata
+
+
 def save_model(model: LinearModel, path: str) -> None:
-    doc = {
-        "domain": model.metadata.get("domain", ""),
-        "base_heuristic": model.metadata.get("base_heuristic", ""),
-        "technique": model.metadata.get("technique", "linear_regression"),
-        "mask": [FEATURE_NAMES[i] for i in model.mask],
-        "weights": list(model.weights),
-        "intercept": model.intercept,
-        "instances": model.metadata.get("instances", 0),
-        "seed": model.metadata.get("seed", 0),
-    }
-    for key in ("r2", "residual_std", "ridge"):
-        if key in model.metadata:
-            doc[key] = model.metadata[key]
+    doc = {"mask": [FEATURE_NAMES[i] for i in model.mask], "weights": list(model.weights),
+           "intercept": model.intercept, **_model_metadata(model.metadata)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -364,18 +368,8 @@ def load_model(path: str) -> LinearModel:
     if not all(map(math.isfinite, weights + (intercept,))):
         raise MalformedModelError(f"{path}: weights and intercept must be finite", "weights")
 
-    metadata = {
-        "domain": doc.get("domain", ""),
-        "base_heuristic": doc.get("base_heuristic", ""),
-        "technique": doc.get("technique", "linear_regression"),
-        "instances": doc.get("instances", 0),
-        "seed": doc.get("seed", 0),
-    }
-    for key in ("r2", "residual_std", "ridge"):
-        if key in doc:
-            metadata[key] = doc[key]
     mask = tuple(FEATURE_NAMES.index(n) for n in names)
-    return LinearModel(weights, intercept, mask, metadata)
+    return LinearModel(weights, intercept, mask, _model_metadata(doc))
 
 
 DATASET_HEADER = FEATURE_NAMES + ("target",)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -109,6 +111,12 @@ def test_parse_suite_config(tmp_path):
     assert config.workers == 1
 
 
+def test_parse_suite_config_defaults_are_suite_config_defaults():
+    text = "domain = d.pddl\nproblem = p.pddl\nevaluator = add\nevaluator = oc\n"
+    assert parse_suite_config(text, base_dir="/base") == SuiteConfig(
+        "/base/d.pddl", ["/base/p.pddl"], ["add", "oc"], out_dir="/base/bench-out")
+
+
 def test_parse_suite_config_rejects_bad_lines():
     with pytest.raises(ValueError):
         parse_suite_config("domain gripper.pddl")
@@ -208,6 +216,35 @@ def _suite(tmp_path, problems=("gripper-1.pddl", "gripper-2.pddl"),
         out_dir=str(tmp_path / "out"),
         workers=workers,
     )
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_generated", 0), ("strategy", "bogus"), ("max_copies", 0), ("wall_time", -1.0),
+    ("wall_time", math.nan), ("workers", -1),
+])
+def test_run_suite_rejects_bad_settings_before_any_cell(tmp_path, monkeypatch, name, value):
+    # a limit no search can meet would otherwise make every row unsolved, and
+    # workers = -1 would mean one worker per core
+    monkeypatch.setattr(bench, "_run_cell", lambda cell: pytest.fail("a cell ran"))
+    config = _suite(tmp_path)
+    setattr(config, name, value)
+    with pytest.raises(ValueError, match=rf"^{name} must be .*got {re.escape(repr(value))}$"):
+        run_suite(config)
+    assert not os.path.exists(config.out_dir)
+
+
+def test_time_s_is_the_search_time(tmp_path, monkeypatch, capsys):
+    def timed_gbfs(*args, **kwargs):
+        result = search.gbfs(*args, **kwargs)
+        result.elapsed = 12.3456
+        return result
+
+    monkeypatch.setattr(bench, "gbfs", timed_gbfs)
+    monkeypatch.setattr(cli, "gbfs", timed_gbfs)
+    report = run_suite(_suite(tmp_path, problems=("gripper-1.pddl",), evaluators=("add",)))
+    assert report.rows[0].time_s == 12.3456
+    assert cli.main(["solve", fixture_path("gripper.pddl"), fixture_path("gripper-1.pddl")]) == 0
+    assert "time_s=12.346\n" in capsys.readouterr().out
 
 
 def test_run_suite_report(tmp_path):
@@ -326,6 +363,7 @@ def test_run_suite_loads_each_problem_once(tmp_path, monkeypatch):
     config.workers = 2
     pooled = run_suite(config)
     assert _report_without_time(pooled.csv_path) == _report_without_time(report.csv_path)
+    assert bench._load.cache_info().currsize == 0     # no task outlives its suite
 
 
 def test_run_suite_reads_problem_files_anew_each_suite(tmp_path):

@@ -241,6 +241,25 @@ def test_gbfs_rejects_max_copies_below_one(gripper2, gripper2_tables, max_copies
              tables=gripper2_tables, max_copies=max_copies)
 
 
+@pytest.mark.parametrize("feature", ["h_add", "h_oc", "h_gval"])
+def test_copy_bound_can_exhaust_a_solvable_task(feature):
+    # a documented limit: the lamp must be lit once per use, so a plan needs
+    # three copies of ``light``, and under a bound of 2 ``exhausted`` does
+    # not prove that no plan exists
+    lit, goals = 0, {1, 2, 3}
+    lamp = make_task(4, [(set(), {lit}, set())] + [({lit}, {g}, {lit}) for g in sorted(goals)],
+                     set(), goals, name="lamp")
+    tables = build_tables(lamp)
+    outcomes = []
+    for max_copies in (2, 3, None):
+        result = gbfs(lamp, FeatureEvaluator(feature, tables), "mw-loc",
+                      SearchLimits(100_000, 30.0), tables, max_copies=max_copies)
+        outcomes.append((result.outcome, result.plan_length))
+        if max_copies == 2:
+            assert result.generated == 26
+    assert outcomes == [("exhausted", None), ("solved", 6), ("solved", 6)]
+
+
 def test_search_limits_accept_boundaries():
     limits = SearchLimits(1, math.inf)
     assert (limits.max_generated, limits.wall_time) == (1, math.inf)
