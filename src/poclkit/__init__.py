@@ -11,8 +11,8 @@ from .pddl import DomainAst, ProblemAst, parse_domain, parse_problem
 from .plans import (CausalLink, OpenCondition, PartialPlan, Resolver, Threat, apply_resolver,
                     format_plan, is_solution, linearize, makespan, null_plan, resolvers,
                     validate)
-from .search import (EnhancedEvaluator, FeatureEvaluator, ModelEvaluator, SearchLimits,
-                     SearchResult, expand, gbfs, select_flaw)
+from .search import (FeatureEvaluator, ModelEvaluator, SearchLimits, SearchResult, expand, gbfs,
+                     select_flaw)
 from .tuning import (ErrorTracker, TraceRow, read_trace, replay_telescoping, step_error,
                      write_trace)
 

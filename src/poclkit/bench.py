@@ -24,8 +24,8 @@ from .grounding import GroundTask, load_task
 from .heuristics import FEATURE_NAMES, CostTables, build_tables
 from .learning import load_model
 from .plans import MAX_COPIES, format_plan
-from .search import (EnhancedEvaluator, FeatureEvaluator, ModelEvaluator, SearchLimits,
-                     STRATEGIES, gbfs)
+from .search import FeatureEvaluator, ModelEvaluator, SearchLimits, STRATEGIES, gbfs
+from .tuning import ErrorTracker
 
 log = logging.getLogger("poclkit.bench")
 
@@ -65,8 +65,7 @@ def build_evaluator(spec: str, tables: CostTables):
     if model is None:
         return FeatureEvaluator(base_feature(spec), tables)
     path, enhanced = model
-    evaluator = ModelEvaluator(load_model(path), tables)
-    return EnhancedEvaluator(evaluator) if enhanced else evaluator
+    return ModelEvaluator(load_model(path), tables, ErrorTracker() if enhanced else None)
 
 
 # ── IPC-style scores ─────────────────────────────────────────────────────────
@@ -317,20 +316,24 @@ def write_report_csv(rows: list[CellResult], path: str) -> None:
 def run_suite(config: SuiteConfig) -> ScoreReport:
     """Run every problem under every evaluator, score, and write the report.
 
-    A setting that fails its ``SETTINGS`` check, and two problems with one
-    file stem (the key of the rows), are a ``ValueError`` raised before any
-    cell runs.
+    A setting that fails its ``SETTINGS`` check, and two cells that would
+    write one plan file, are a ``ValueError`` raised before any cell runs. A
+    plan file is named by its cell's row key (problem stem, evaluator), so
+    this also rejects a problem or evaluator listed twice and two problems
+    with one stem.
     """
     for name, _, ok, need in SETTINGS.values():
         value = getattr(config, name)
         if not ok(value):
             raise ValueError(f"{name} must be {need}, got {value!r}")
-    paths: dict[str, str] = {}
+    writers: dict[str, str] = {}    # plan file name -> the cell that writes it
     for problem in config.problems:
-        name = _problem_name(problem)
-        if name in paths:
-            raise ValueError(f"problems {paths[name]} and {problem} share the name {name!r}")
-        paths[name] = problem
+        for evaluator in config.evaluators:
+            plan_file = _plan_filename(_problem_name(problem), evaluator)
+            if plan_file in writers:
+                raise ValueError(f"cells {writers[plan_file]} and {problem} x {evaluator} "
+                                 f"would write one plan file {plan_file!r}")
+            writers[plan_file] = f"{problem} x {evaluator}"
     cells = [(config.domain, problem, evaluator, config.strategy,
               config.max_generated, config.wall_time, config.max_copies)
              for problem in config.problems

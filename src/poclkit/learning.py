@@ -334,6 +334,11 @@ def _model_metadata(source: dict) -> dict:
 
 
 def save_model(model: LinearModel, path: str) -> None:
+    """Write a model file that ``load_model`` reads back. A NaN or infinite
+    weight or intercept raises MalformedModelError before the file is opened."""
+    for fld, values in (("weights", model.weights), ("intercept", (model.intercept,))):
+        if not all(map(math.isfinite, values)):
+            raise MalformedModelError(f"{path}: {fld} must be finite, got {values!r}", fld)
     doc = {"mask": [FEATURE_NAMES[i] for i in model.mask], "weights": list(model.weights),
            "intercept": model.intercept, **_model_metadata(model.metadata)}
     with open(path, "w", encoding="utf-8") as fh:

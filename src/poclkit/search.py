@@ -70,13 +70,16 @@ class FeatureEvaluator:
 
 class ModelEvaluator:
     """Ranks plans by a learned model, computing only the features its mask
-    names; the rank equals ``model.predict(feature_vector(plan, tables))``."""
+    names; the rank equals ``model.predict(feature_vector(plan, tables))``.
+    With a ``tracker``, ``gbfs`` tunes the model online: it feeds the tracker
+    step errors of these ranks and queues each child at ``tracker.enhance``
+    of its rank."""
 
-    def __init__(self, model, tables: CostTables):
+    def __init__(self, model, tables: CostTables, tracker: Optional[ErrorTracker] = None):
         self.model = model
         self.tables = tables
+        self.tracker = tracker
         self.features = tuple(FEATURE_NAMES[i] for i in model.mask)
-        self.name = f"model:{model.metadata.get('base_heuristic', '?')}"
 
     def rank(self, plan: PartialPlan) -> float:
         return self.model.score([feature_value(name, plan, self.tables)
@@ -87,18 +90,6 @@ class ModelEvaluator:
         columns = [new_step_values(name, base, self.tables, actions) for name in self.features]
         rows = zip(*columns) if columns else [()] * len(actions)
         return [self.model.score(row) for row in rows]
-
-
-class EnhancedEvaluator:
-    """An evaluator paired with an error tracker. ``gbfs`` ranks children
-    with ``inner``, feeds the tracker their step errors and queues each child
-    at ``tracker.enhance`` of its raw rank; the record has no ranking of its
-    own."""
-
-    def __init__(self, inner, tracker: Optional[ErrorTracker] = None):
-        self.inner = inner
-        self.tracker = tracker if tracker is not None else ErrorTracker()
-        self.name = inner.name + ":enhanced"
 
 
 @dataclass
@@ -204,11 +195,10 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
 
     ``evaluator`` ranks a built plan by ``rank(plan)`` and a flaw's new-step
     children, unbuilt, by ``rank_new_steps(base, actions)``. Queue order is
-    (rank, action count, FIFO). An evaluator carrying an error tracker (an
-    ``EnhancedEvaluator``) gives raw ranks through its ``inner`` evaluator:
-    each expansion whose best child adds a step observes the
-    parent/best-child step error before the children are enqueued with
-    enhanced ranks. A solution that does not re-simulate raises RuntimeError.
+    (rank, action count, FIFO). For an evaluator with a ``tracker``, each
+    expansion whose best child adds a step observes the parent/best-child
+    step error of the evaluator's raw ranks before the children are enqueued
+    with enhanced ranks. A solution that does not re-simulate raises RuntimeError.
 
     A new-step child is queued pending and built when popped; other children
     are built at generation. A queued entry keeps at most one plan alive, its
@@ -226,8 +216,7 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
     if tables is None:
         tables = build_tables(task)
     tracker = getattr(evaluator, "tracker", None)
-    ranker = evaluator.inner if tracker is not None else evaluator
-    rank, rank_new_steps = ranker.rank, ranker.rank_new_steps
+    rank, rank_new_steps = evaluator.rank, evaluator.rank_new_steps
 
     start = time.monotonic()
     plan0 = root if root is not None else null_plan(task)

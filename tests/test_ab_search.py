@@ -19,6 +19,12 @@ def test_a_checkout_agrees_with_itself(capsys):
     assert "B faster in" in out
 
 
+def test_the_learn_workload_agrees_with_itself(capsys):
+    # the tuned-model cell is built from its spec, model:FILE:enhanced
+    assert ab_search.main([ROOT, ROOT, "--workload", "learn", "--rounds", "1"]) == 0
+    assert "learn, 1 rounds, CPU seconds; outputs identical" in capsys.readouterr().out
+
+
 def test_checkouts_that_search_differently_are_reported(tmp_path, capsys):
     # a copy whose copy bound is 1 generates other children on some problems
     other = tmp_path / "other"

@@ -20,8 +20,7 @@ from poclkit.grounding import load_task
 from poclkit.heuristics import build_tables
 from poclkit.learning import LinearModel, save_model
 from poclkit.plans import format_plan
-from poclkit.search import (EnhancedEvaluator, FeatureEvaluator, ModelEvaluator, SearchLimits,
-                            gbfs)
+from poclkit.search import FeatureEvaluator, ModelEvaluator, SearchLimits, gbfs
 
 from conftest import fixture_path, load_fixture_task
 
@@ -69,9 +68,10 @@ def test_build_evaluator_model_specs(tmp_path, gripper2_tables):
     path = str(tmp_path / "m.json")
     save_model(LinearModel((1.0,), 0.0, (2,), {"base_heuristic": "h_add"}), path)
     plain = build_evaluator(f"model:{path}", gripper2_tables)
-    assert isinstance(plain, ModelEvaluator)
+    assert isinstance(plain, ModelEvaluator) and plain.tracker is None
     enhanced = build_evaluator(f"model:{path}:enhanced", gripper2_tables)
-    assert isinstance(enhanced, EnhancedEvaluator)
+    assert isinstance(enhanced, ModelEvaluator)
+    assert enhanced.model == plain.model
     assert enhanced.tracker.observations == 0
     # fresh tracker per construction
     other = build_evaluator(f"model:{path}:enhanced", gripper2_tables)
@@ -406,6 +406,27 @@ def test_run_suite_rejects_problems_sharing_a_name(tmp_path, capsys):
     message = capsys.readouterr().err
     assert paths[0] in message and paths[1] in message
     assert not os.path.exists(tmp_path / "cli-out")
+
+
+@pytest.mark.parametrize("evaluators, plan_file", [
+    # listed twice: the parser rejects this, but a config built in code
+    # would also count the problem twice toward coverage
+    (("add", "add"), "gripper-1__add.plan"),
+    # two model files whose specs give one file-name tag
+    (("model:/x/models/a/b.json", "model:/x/models/a_b.json"),
+     "gripper-1__model_x_models_a_b.json.plan"),
+])
+def test_run_suite_rejects_cells_sharing_a_plan_file(tmp_path, monkeypatch, evaluators,
+                                                     plan_file):
+    # the second cell's plan file would overwrite the first's
+    monkeypatch.setattr(bench, "_run_cell", lambda cell: pytest.fail("a cell ran"))
+    config = _suite(tmp_path, problems=("gripper-1.pddl",), evaluators=evaluators)
+    first, second = (f"{config.problems[0]} x {e}" for e in evaluators)
+    with pytest.raises(ValueError) as err:
+        run_suite(config)
+    assert str(err.value) == \
+        f"cells {first} and {second} would write one plan file {plan_file!r}"
+    assert not os.path.exists(config.out_dir)
 
 
 # ── CLI ──────────────────────────────────────────────────────────────────────

@@ -527,6 +527,19 @@ def test_model_of_wrong_shape_rejected(tmp_path, capsys, doc):
     assert path in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weights, intercept, fld", [
+    ((math.nan, 1.0), 0.0, "weights"), ((1.0, -math.inf), 0.0, "weights"),
+    ((1.0, 1.0), math.inf, "intercept"), ((1.0, 1.0), math.nan, "intercept")])
+def test_save_model_rejects_a_value_that_is_not_finite(tmp_path, weights, intercept, fld):
+    # json would write NaN or Infinity, which ``load_model`` rejects, so no
+    # file is written
+    path = tmp_path / "m.json"
+    with pytest.raises(MalformedModelError, match=rf": {fld} must be finite") as err:
+        save_model(LinearModel(weights, intercept, (0, 2)), str(path))
+    assert err.value.field == fld
+    assert not path.exists()
+
+
 def test_hand_written_model_predicts(tmp_path):
     path = str(tmp_path / "hand.json")
     with open(path, "w") as fh:

@@ -204,15 +204,19 @@ def test_pending_new_step_children_rank_and_build_like_built_ones(seed, max_fact
                                                                    mask, weights):
     # random tasks give +inf facts and actions adding other conditions' facts;
     # a model of any mask, the empty one included, in any order, ranks from
-    # its masked features alone exactly as it predicts from the full vector
+    # its masked features alone exactly as it predicts from the full vector;
+    # the one-weight model of a feature ranks every child as the feature does
     rng = Random(seed)
     task = random_task(rng, max_facts=max_facts)
     tables = build_tables(task)
     model = LinearModel(tuple(weights[:len(mask)]), weights[-1], tuple(mask))
     model_ev = ModelEvaluator(model, tables)
     evaluators = [FeatureEvaluator(name, tables) for name in FEATURE_NAMES]
+    one_weight = [ModelEvaluator(LinearModel((1.0,), 0.0, (i,)), tables)
+                  for i in range(len(FEATURE_NAMES))]
     plan = null_plan(task)
     assert model_ev.rank(plan) == model.predict(feature_vector(plan, tables))
+    assert [one.rank(plan) for one in one_weight] == [ev.rank(plan) for ev in evaluators]
     for _ in range(depth):
         for oc in plan.open_conds:
             options = [r for r in resolvers(plan, oc, task) if r.kind == "new-step"]
@@ -225,8 +229,11 @@ def test_pending_new_step_children_rank_and_build_like_built_ones(seed, max_fact
             vectors = [feature_vector(child, tables) for child in cold]
             for i, name in enumerate(FEATURE_NAMES):
                 assert new_step_values(name, base, tables, actions) == [v[i] for v in vectors]
-            for ev in evaluators:
-                assert ev.rank_new_steps(base, actions) == [ev.rank(child) for child in cold]
+            for ev, one in zip(evaluators, one_weight):
+                ranks = [ev.rank(child) for child in cold]
+                assert ev.rank_new_steps(base, actions) == ranks
+                assert one.rank_new_steps(base, actions) == ranks
+                assert [one.rank(child) for child in cold] == ranks
             predicted = [model.predict(v) for v in vectors]
             assert [model_ev.rank(child) for child in cold] == predicted
             assert model_ev.rank_new_steps(base, actions) == predicted
@@ -235,6 +242,8 @@ def test_pending_new_step_children_rank_and_build_like_built_ones(seed, max_fact
             break
         options = [c for r in resolvers(plan, rng.choice(flaws), task)
                    if (c := apply_resolver(plan, r)) is not None]
+        for ev, one in zip(evaluators, one_weight):    # reuse and ordering children too
+            assert [one.rank(child) for child in options] == [ev.rank(child) for child in options]
         if not options:
             break
         plan = rng.choice(options)

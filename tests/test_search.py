@@ -15,8 +15,9 @@ from poclkit.learning import LinearModel
 from poclkit.plans import (GOAL_STEP, NewStepBase, OpenCondition, PartialPlan, Resolver, Threat,
                            apply_resolver, is_solution, null_plan, random_linearization,
                            resolvers, step_sequence, validate)
-from poclkit.search import (EnhancedEvaluator, FeatureEvaluator, ModelEvaluator, SearchLimits,
-                            _best_index, expand, gbfs, select_flaw)
+from poclkit.search import (FeatureEvaluator, ModelEvaluator, SearchLimits, _best_index, expand,
+                            gbfs, select_flaw)
+from poclkit.tuning import ErrorTracker
 
 from conftest import live_plans, load_fixture_task, make_task
 from oracles import bfs_optimal_length, collect_flaws, min_new_actions
@@ -319,10 +320,11 @@ def test_solution_node_trace_path_consistent(gripper2, gripper2_tables):
 
 
 _MODEL = LinearModel((1.0, 0.5, 0.25, 2.0, 0.125, 3.0), -0.75, tuple(range(6)))
+_H_ADD = LinearModel((1.0,), 0.0, (FEATURE_NAMES.index("h_add"),))    # ranks as h_add
 _REPLAY_EVALUATORS = {
     **{name: lambda tables, name=name: FeatureEvaluator(name, tables) for name in FEATURE_NAMES},
     "model": lambda tables: ModelEvaluator(_MODEL, tables),
-    "enhanced": lambda tables: EnhancedEvaluator(FeatureEvaluator("h_add", tables)),
+    "enhanced": lambda tables: ModelEvaluator(_H_ADD, tables, ErrorTracker()),
 }
 
 
@@ -344,12 +346,11 @@ def test_collect_generated_returns_built_plans_in_generation_order(kind, gripper
     plans = [null_plan(gripper2)] + eager.generated_plans
     assert len(plans) == eager.generated
     assert all(type(plan) is PartialPlan for plan in plans)
-    ranker = getattr(evaluator, "inner", evaluator)
-    if ranker is not evaluator:
+    if getattr(evaluator, "tracker", None) is not None:
         assert evaluator.tracker.observations > 0
     for row in eager.trace[1:]:
         child, parent = plans[row.node_id], plans[row.parent_id]
-        assert ranker.rank(child) == row.h and child.action_count == row.action_count
+        assert evaluator.rank(child) == row.h and child.action_count == row.action_count
         assert child.steps[:len(parent.steps)] == parent.steps
 
 

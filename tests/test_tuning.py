@@ -6,9 +6,10 @@ import math
 
 import pytest
 
-from poclkit.heuristics import build_tables
+from poclkit.heuristics import FEATURE_NAMES, build_tables
+from poclkit.learning import LinearModel
 from poclkit.plans import format_plan
-from poclkit.search import EnhancedEvaluator, FeatureEvaluator, SearchLimits, gbfs
+from poclkit.search import FeatureEvaluator, ModelEvaluator, SearchLimits, gbfs
 from poclkit.tuning import (ErrorTracker, TraceRow, read_trace, replay_telescoping,
                             step_error, write_trace)
 
@@ -156,11 +157,19 @@ def test_trace_csv_round_trip(tmp_path):
         assert fh.readline().strip() == "node_id,parent_id,h,action_count,is_best_child"
 
 
+def _tuned(feature, tables, tracker):
+    """``feature`` tuned online by ``tracker``: a model of the feature alone
+    with weight 1 and intercept 0 ranks exactly as the feature does, since a
+    feature is >= 0 (the model's clamp at 0 never acts) and +inf stays +inf."""
+    return ModelEvaluator(LinearModel((1.0,), 0.0, (FEATURE_NAMES.index(feature),)), tables,
+                          tracker)
+
+
 def test_zero_cost_refinements_excluded_by_default(chain_task):
     # solving the chain task takes two new steps plus one reuse of the initial
     # dummy; only the two unit-cost steps are observed
     tables = build_tables(chain_task)
-    evaluator = EnhancedEvaluator(FeatureEvaluator("h_add", tables))
+    evaluator = _tuned("h_add", tables, ErrorTracker())
     result = gbfs(chain_task, evaluator, "mw-loc", SearchLimits(1000, 5.0), tables)
     assert result.solved
     assert evaluator.tracker.observations == 2
@@ -205,7 +214,6 @@ def test_frozen_tracker_reproduces_raw_search(problem, feature):
     assert frozen.epsilon == 0.5
     limits = SearchLimits(6000, 30.0)   # solves gripper-3 h_add and blocks-4 h_add_r
     raw = gbfs(task, FeatureEvaluator(feature, tables), "mw-loc", limits, tables)
-    enhanced = gbfs(task, EnhancedEvaluator(FeatureEvaluator(feature, tables), frozen),
-                    "mw-loc", limits, tables)
+    enhanced = gbfs(task, _tuned(feature, tables, frozen), "mw-loc", limits, tables)
     assert frozen.epsilon == 0.5
     assert _fingerprint(enhanced) == _fingerprint(raw)

@@ -21,7 +21,9 @@ and seeds are imported from this checkout's ``perfbench/workloads.py``:
 - ``suite-reuse``: the same problems x h_add_r, h_add_w_r;
 - ``learn``: the seed-pool dataset on the 9 Gripper training problems from
   the base feature h_add, the correlation mask and the OLS fit, then h_add
-  and the enhanced model on gripper-3.
+  and the enhanced model on gripper-3. The model is saved to a temporary
+  file, and each side builds its evaluator from the spec
+  ``model:FILE:enhanced`` with its own ``bench.build_evaluator``.
 
 Every search is mw-loc. The output is the min and median CPU seconds per
 side and the ratio B/A of the medians and of each round.
@@ -36,6 +38,7 @@ import importlib.util
 import os
 import statistics
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,6 +73,7 @@ class Side:
 
     def __init__(self, checkout: str, alias: str, workload: str):
         load_package(checkout, alias)
+        self.bench = importlib.import_module(alias + ".bench")
         self.grounding = importlib.import_module(alias + ".grounding")
         self.heuristics = importlib.import_module(alias + ".heuristics")
         self.learning = importlib.import_module(alias + ".learning")
@@ -110,9 +114,12 @@ class Side:
         out = [(d.problem, d.solved, d.pool_before, d.pool_after, d.generated)
                for d in dataset.draws]
         out.append((model.mask, model.weights, model.intercept))
-        for evaluator in (search.FeatureEvaluator(LEARN_BASE, tables),
-                          search.EnhancedEvaluator(search.ModelEvaluator(model, tables))):
-            out.append(self._search(LEARN_TEST_PROBLEM, evaluator))
+        out.append(self._search(LEARN_TEST_PROBLEM, search.FeatureEvaluator(LEARN_BASE, tables)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            learning.save_model(model, path)
+            evaluator = self.bench.build_evaluator(f"model:{path}:enhanced", tables)
+        out.append(self._search(LEARN_TEST_PROBLEM, evaluator))
         return out
 
 
