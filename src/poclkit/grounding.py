@@ -101,7 +101,8 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
         key = _atom_key(atom.pred, args)
         idx = fact_ids.get(key)
         if idx is None:
-            raise UndeclaredNameError(f"atom {key} in {where} is not type-consistent")
+            raise UndeclaredNameError(f"atom {key} in {where} is not type-consistent",
+                                      problem.filename)
         return idx
 
     actions: list[GroundAction] = []

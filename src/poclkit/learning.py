@@ -17,7 +17,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -86,18 +86,13 @@ class Dataset:
 
 @dataclass
 class DatasetConfig:
-    """Limits and choices of dataset generation.
-
-    ``strategy`` is a named flaw rule (``mc-loc`` or ``mw-loc``) or a
-    callable ``(plan, tables) -> Flaw``. A callable must be deterministic:
-    the replay of a solved draw and the reuse of a failed seed's outcome
-    both assume that a search from the same seed goes the same way.
-    """
+    """Limits and choices of dataset generation; ``strategy`` is a named
+    flaw rule, one of ``search.STRATEGIES``."""
     seeds_per_problem: int = 10
     seed_max_generated: int = 500_000
     seed_wall_time: float = 180.0
     rng_seed: int = 0
-    strategy: Union[str, Callable] = "mw-loc"
+    strategy: str = "mw-loc"
     max_copies: Optional[int] = MAX_COPIES
 
     def __post_init__(self):
@@ -107,8 +102,7 @@ class DatasetConfig:
                 ("seed_wall_time", self.seed_wall_time > 0, "> 0"),
                 ("max_copies", self.max_copies is None or self.max_copies >= 1,
                  "None or >= 1"),
-                ("strategy", callable(self.strategy) or self.strategy in STRATEGIES,
-                 f"one of {', '.join(STRATEGIES)} or a callable")):
+                ("strategy", self.strategy in STRATEGIES, f"one of {', '.join(STRATEGIES)}")):
             if not ok:
                 raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
 
@@ -132,14 +126,13 @@ def generate_dataset(tasks: Sequence[GroundTask], base_heuristic: str,
     draw nodes in failed draws, still count each draw's nodes. A seed whose
     search stopped on the wall-time limit is searched again when drawn again.
 
-    Each searched draw runs in two passes. The first searches without keeping the
-    plans it generates, so a failed draw holds only its open list. Only a
-    solved draw is searched again from the same seed with
-    ``collect_generated``, bounded by the first pass's node count; search is
-    deterministic, so the replay reaches the same solution and the pool and
-    instances equal those of a single collecting pass. Besides the pool,
-    memory holds one search's open list, plus every plan of the one solved
-    draw being replayed.
+    Each searched draw runs in two passes. The first searches without
+    recording, so a failed draw holds only its open list. Only a solved draw
+    is searched again from the same seed with ``record_trace``, bounded by
+    the first pass's node count; search is deterministic, so the replay
+    reaches the same solution, and its ``generated_plans`` feed the pool.
+    Besides the pool, memory holds one search's open list, plus every plan
+    of the one solved draw being replayed.
     """
     if config is None:
         config = DatasetConfig()
@@ -174,7 +167,7 @@ def generate_dataset(tasks: Sequence[GroundTask], base_heuristic: str,
                 if solved:
                     replay = gbfs(task, evaluator, config.strategy,
                                   SearchLimits(generated, math.inf), tables, root=sp,
-                                  max_copies=config.max_copies, collect_generated=True)
+                                  max_copies=config.max_copies, record_trace=True)
                     _check_replay(result, replay, task.problem_name, draw)
                     target = replay.plan.action_count - sp.action_count
                     dataset.instances.append(TrainingInstance(

@@ -9,6 +9,7 @@ grounding. Errors carry ``file:line:col`` positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 SUPPORTED_REQUIREMENTS = frozenset({":strips", ":typing", ":equality"})
 ROOT_TYPE = "object"
@@ -88,6 +89,11 @@ class DomainAst:
         for t in self.types:
             parents[t.name] = t.type
         return parents
+
+    def declared_types(self) -> set[str]:
+        """``object`` and every type ``:types`` names, as a type or a parent."""
+        parents = self.type_parents()
+        return set(parents) | set(parents.values())
 
 
 @dataclass(frozen=True)
@@ -198,8 +204,10 @@ def _word_at(node: _Node, i: int, what: str, filename: str) -> _Token:
     return _expect_word(node.items[i], what, filename)
 
 
-def _parse_typed_list(items: list, filename: str) -> tuple[TypedName, ...]:
-    """Parse ``n1 n2 - type n3 ...``; names without a type get ``object``."""
+def _parse_typed_list(items: list, filename: str,
+                      type_tokens: Optional[list[_Token]] = None) -> tuple[TypedName, ...]:
+    """Parse ``n1 n2 - type n3 ...``; names without a type get ``object``.
+    Each type token read is appended to ``type_tokens`` if given."""
     out: list[TypedName] = []
     pending: list[_Token] = []
     i = 0
@@ -211,6 +219,8 @@ def _parse_typed_list(items: list, filename: str) -> tuple[TypedName, ...]:
             if i + 1 >= len(items):
                 raise ParseError("missing type after '-'", filename, tok.line, tok.col)
             ty = _expect_word(items[i + 1], "a type name", filename)
+            if type_tokens is not None:
+                type_tokens.append(ty)
             out.extend(TypedName(p.value, ty.value) for p in pending)
             pending = []
             i += 2
@@ -296,7 +306,8 @@ def _requirements(section: _Node, filename: str) -> tuple[str, ...]:
     return tuple(reqs)
 
 
-def _parse_action(node: _Node, arity: dict[str, int], filename: str) -> ActionSchema:
+def _parse_action(node: _Node, arity: dict[str, int], filename: str,
+                  type_tokens: list[_Token]) -> ActionSchema:
     items = node.items
     name = _word_at(node, 1, "an action name", filename).value
     sections: dict[str, object] = {}
@@ -317,7 +328,8 @@ def _parse_action(node: _Node, arity: dict[str, int], filename: str) -> ActionSc
         i += 2
 
     params_node = sections.get(":parameters")
-    params = _parse_typed_list(params_node.items, filename) if params_node is not None else ()
+    params = _parse_typed_list(params_node.items, filename, type_tokens) \
+        if params_node is not None else ()
     seen = set()
     for p in params:
         if p.name in seen:
@@ -384,7 +396,10 @@ def _parse_action(node: _Node, arity: dict[str, int], filename: str) -> ActionSc
 
 
 def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
-    """Parse PDDL domain text into a :class:`DomainAst`."""
+    """Parse PDDL domain text into a :class:`DomainAst`. A repeated predicate
+    or action name is a ParseError at the second one; a constant, predicate
+    parameter or action parameter of a type that is not declared is an
+    UndeclaredNameError at the type."""
     name, _, sections = _read_define(text, filename, "domain")
 
     requirements: tuple[str, ...] = (":strips",)
@@ -393,6 +408,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
     predicates: list[tuple[str, tuple[TypedName, ...]]] = []
     arity: dict[str, int] = {}
     schemas: list[ActionSchema] = []
+    type_tokens: list[_Token] = []    # every type a constant or parameter names
 
     for key, section in sections:
         if key.value == ":requirements":
@@ -400,23 +416,35 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
         elif key.value == ":types":
             types = _parse_typed_list(section.items[1:], filename)
         elif key.value == ":constants":
-            constants = _parse_typed_list(section.items[1:], filename)
+            constants = _parse_typed_list(section.items[1:], filename, type_tokens)
         elif key.value == ":predicates":
             for p in section.items[1:]:
                 if not isinstance(p, _Node) or not p.items:
                     raise ParseError("expected a predicate declaration", filename,
                                      section.line, section.col)
-                pname = _expect_word(p.items[0], "a predicate name", filename).value
-                pparams = _parse_typed_list(p.items[1:], filename)
-                predicates.append((pname, pparams))
-                arity[pname] = len(pparams)
+                pname = _expect_word(p.items[0], "a predicate name", filename)
+                if pname.value in arity:
+                    raise ParseError(f"repeated predicate {pname.value} in domain {name}",
+                                     filename, pname.line, pname.col)
+                pparams = _parse_typed_list(p.items[1:], filename, type_tokens)
+                predicates.append((pname.value, pparams))
+                arity[pname.value] = len(pparams)
         elif key.value == ":action":
-            schemas.append(_parse_action(section, arity, filename))
+            aname = _word_at(section, 1, "an action name", filename)
+            if any(s.name == aname.value for s in schemas):
+                raise ParseError(f"repeated action {aname.value} in domain {name}",
+                                 filename, aname.line, aname.col)
+            schemas.append(_parse_action(section, arity, filename, type_tokens))
         else:
             raise ParseError(f"unsupported domain section {key.value}",
                              filename, key.line, key.col)
 
-    return DomainAst(name, requirements, types, tuple(predicates), constants, tuple(schemas))
+    domain = DomainAst(name, requirements, types, tuple(predicates), constants, tuple(schemas))
+    declared = domain.declared_types()
+    for tok in type_tokens:
+        if tok.value not in declared:
+            raise UndeclaredNameError(f"undeclared type {tok.value}", filename, tok.line, tok.col)
+    return domain
 
 
 def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
@@ -465,6 +493,10 @@ def check_problem(domain: DomainAst, problem: ProblemAst) -> None:
     if problem.domain_name != domain.name:
         raise UndeclaredNameError(
             f"problem declares domain {problem.domain_name}, expected {domain.name}", filename)
+    declared = domain.declared_types()
+    for o in problem.objects:
+        if o.type not in declared:
+            raise UndeclaredNameError(f"undeclared type {o.type} of object {o.name}", filename)
     known: set[str] = set()
     for n in [c.name for c in domain.constants] + [o.name for o in problem.objects]:
         if n in known:

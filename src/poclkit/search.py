@@ -144,16 +144,14 @@ Pending = tuple[NewStepBase, Resolver]
 Child = Union[PartialPlan, Pending]
 
 
-def expand(plan: PartialPlan, task: GroundTask, strategy, tables: CostTables,
+def expand(plan: PartialPlan, task: GroundTask, strategy: str, tables: CostTables,
            max_copies: Optional[int] = MAX_COPIES) -> list[Child]:
-    """Children from resolving the selected flaw; inconsistent ones dropped.
+    """Children from resolving ``select_flaw``'s flaw; inconsistent ones dropped.
 
     New-step children come last, pending on one shared base; ``built`` gives
-    the plan of any child. ``strategy`` is one of the named rules or a
-    callable ``(plan, tables) -> Flaw`` for custom flaw selection.
+    the plan of any child.
     """
-    flaw = strategy(plan, tables) if callable(strategy) else \
-        select_flaw(plan, strategy, tables)
+    flaw = select_flaw(plan, strategy, tables)
     children: list[Child] = []
     base = None
     for res in resolvers(plan, flaw, task, max_copies):
@@ -190,7 +188,7 @@ def _best_index(ranks: list[float], counts: list[int]) -> int:
 def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
          limits: Optional[SearchLimits] = None, tables: Optional[CostTables] = None,
          root: Optional[PartialPlan] = None, max_copies: Optional[int] = MAX_COPIES,
-         record_trace: bool = False, collect_generated: bool = False) -> SearchResult:
+         record_trace: bool = False) -> SearchResult:
     """Greedy best-first search from ``root`` (default: the null plan).
 
     ``evaluator`` ranks a built plan by ``rank(plan)`` and a flaw's new-step
@@ -203,12 +201,15 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
     A new-step child is queued pending and built when popped; other children
     are built at generation. A queued entry keeps at most one plan alive, its
     own or, when pending, its parent's, so memory grows with the open list,
-    not with every generated node. ``collect_generated`` builds each child
-    as it is queued, after it is ranked the same way, and keeps every
-    generated plan alive on purpose. Node ids (trace rows,
-    ``solution_node_id``) number plans in generation order, the root 0.
-    A ``max_copies`` below 1 raises ValueError.
+    not with every generated node. ``record_trace`` records a ``TraceRow``
+    per generated node and builds each child into ``generated_plans`` as it
+    is queued, so a recorded search keeps every generated plan alive. Node
+    ids (trace rows, ``solution_node_id``) number plans in generation order,
+    the root 0. An unknown ``strategy`` or a ``max_copies`` below 1 raises
+    ValueError.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown flaw strategy {strategy!r}")
     if max_copies is not None and not max_copies >= 1:
         raise ValueError(f"max_copies must be None or >= 1, got {max_copies!r}")
     if limits is None:
@@ -289,7 +290,6 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
                 return finish("limit-hit")
             if record_trace:
                 trace.append(TraceRow(generated, node_id, raws[i], counts[i], i == best_i))
-            if collect_generated:
                 child = built(child)
                 generated_plans.append(child)
             heapq.heappush(heap, (ranks[i], counts[i], generated, child, raws[i]))

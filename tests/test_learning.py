@@ -6,10 +6,11 @@ import json
 import math
 import re
 from random import Random
+from unittest.mock import patch
 
 import pytest
 
-from poclkit import cli, learning
+from poclkit import cli, learning, search
 from poclkit.heuristics import FEATURE_NAMES, FeatureVector, build_tables, feature_vector
 from poclkit.learning import (Dataset, DatasetConfig, DatasetError, DegenerateDatasetError,
                               DrawRecord, EmptyDatasetError, LinearModel, MalformedModelError,
@@ -90,14 +91,14 @@ def test_dataset_config_rejects_limits_no_draw_can_meet(field, value):
         DatasetConfig(**{field: value})
 
 
-@pytest.mark.parametrize("strategy", ["best-first", "", None, "MW-LOC"])
+@pytest.mark.parametrize("strategy", ["best-first", "", None, "MW-LOC", select_flaw])
 def test_dataset_config_rejects_unknown_strategy(strategy):
-    with pytest.raises(ValueError, match=r"^strategy must be one of mc-loc, mw-loc or a callable"):
+    with pytest.raises(ValueError, match=r"^strategy must be one of mc-loc, mw-loc, got "):
         DatasetConfig(strategy=strategy)
 
 
-def test_dataset_config_accepts_named_and_callable_strategies():
-    for strategy in ("mc-loc", "mw-loc", select_flaw):
+def test_dataset_config_accepts_named_strategies():
+    for strategy in ("mc-loc", "mw-loc"):
         assert DatasetConfig(strategy=strategy).strategy is strategy
 
 
@@ -124,9 +125,9 @@ def test_dataset_reproducible():
 
 
 def collecting_dataset(tasks, base_heuristic, config):
-    """Reference: the single-pass seed-pool loop, every draw collecting its
-    generated plans, as ``generate_dataset`` ran before it replayed only the
-    solved draws."""
+    """Reference: the single-pass seed-pool loop, every draw recorded so that
+    it keeps its generated plans, as ``generate_dataset`` ran before it
+    replayed only the solved draws."""
     draws, instances = [], []
     limits = SearchLimits(config.seed_max_generated, config.seed_wall_time)
     for pidx, task in enumerate(tasks):
@@ -139,7 +140,7 @@ def collecting_dataset(tasks, base_heuristic, config):
             index = rng.randrange(before)
             sp = pool[index]
             result = gbfs(task, evaluator, config.strategy, limits, tables, root=sp,
-                          max_copies=config.max_copies, collect_generated=True)
+                          max_copies=config.max_copies, record_trace=True)
             if result.solved:
                 instances.append(TrainingInstance(
                     feature_vector(sp, tables), result.plan.action_count - sp.action_count,
@@ -219,19 +220,18 @@ def test_tasks_sharing_a_problem_name_rejected(tmp_path, capsys):
 
 def test_failed_draw_keeps_only_its_open_list():
     # gripper-train-1's first draw fails at 8,000 nodes; by its 3,000th
-    # expansion a collecting search would hold every plan it generated.
+    # expansion a recorded search would hold every plan it generated.
     task = load_fixture_task("gripper.pddl", "gripper-train-1.pddl")
     seen = {"visits": 0}
 
-    def probe(plan, tables):
+    def probe(plan, strategy, tables):
         seen["visits"] += 1
         if seen["visits"] == 3000:
             seen["live"] = live_plans()
-        return select_flaw(plan, "mw-loc", tables)
+        return select_flaw(plan, strategy, tables)
 
-    config = DatasetConfig(seeds_per_problem=1, seed_max_generated=8000, rng_seed=0,
-                           strategy=probe)
-    with pytest.raises(EmptyDatasetError):
+    config = DatasetConfig(seeds_per_problem=1, seed_max_generated=8000, rng_seed=0)
+    with patch.object(search, "select_flaw", probe), pytest.raises(EmptyDatasetError):
         generate_dataset([task], "h_add", config)
     assert seen["live"] < 3000
 
@@ -243,7 +243,7 @@ def _counting_gbfs(monkeypatch, alter=None):
 
     def counting(*args, **kwargs):
         result = real_gbfs(*args, **kwargs)
-        if not kwargs.get("collect_generated"):
+        if not kwargs.get("record_trace"):
             first_passes.append(result.outcome)
             if alter is not None:
                 alter(result)
@@ -294,7 +294,7 @@ def test_replay_that_differs_is_an_error(monkeypatch):
 
     def drifting(*args, **kwargs):
         result = real_gbfs(*args, **kwargs)
-        if kwargs.get("collect_generated"):
+        if kwargs.get("record_trace"):
             result.generated += 1
         return result
 

@@ -112,6 +112,12 @@ MALFORMED = {
         "problem", f"(define (problem p)\n  ({section} {body})\n  ({section} {body}))", (3, 4))
        for section, body in ((":domain", "d"), (":requirements", ":strips"),
                              (":objects", "o"), (":init", "(q)"), (":goal", "(q)"))},
+    # a repeated name was read as a second declaration: the later arity, and
+    # a plan step named after either action
+    "repeated-predicate": ("domain", "(define (domain d)\n  (:predicates (p) (q)\n    (p)))", (3, 6)),
+    "repeated-action": (
+        "domain", "(define (domain d) (:predicates (p) (q))\n  (:action a :effect (p))\n"
+        "  (:action a :effect (q)))", (3, 12)),
 }
 
 
@@ -205,7 +211,8 @@ def test_duplicate_object_names_rejected():
 
 
 @pytest.mark.parametrize("old,new", [("(at-robby rooma)", "(at-robby roomz)"),
-                                     ("(:domain gripper)", "(:domain grippy)")])
+                                     ("(:domain gripper)", "(:domain grippy)"),
+                                     ("(at ball1 rooma)", "(at left rooma)")])
 def test_problem_check_errors_name_the_problem_file(tmp_path, capsys, old, new):
     with open(fixture_path("gripper-1.pddl")) as fh:
         text = fh.read()
@@ -218,6 +225,53 @@ def test_problem_check_errors_name_the_problem_file(tmp_path, capsys, old, new):
     assert str(err.value).startswith(f"{path}:")
     assert cli.main(["solve", fixture_path("gripper.pddl"), path]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith(f"error: {path}:")
+
+
+def _typed_domain(constant: str = "c - ball", predicate: str = "?r - room",
+                  parameter: str = "?r - room") -> str:
+    return ("(define (domain t) (:requirements :strips :typing)\n"
+            "  (:types ball room)\n"
+            f"  (:constants {constant})\n"
+            f"  (:predicates (at ?b - ball {predicate}))\n"
+            f"  (:action go :parameters (?b - ball {parameter}) :effect (at ?b ?r)))")
+
+
+TYPED_PROBLEM = "(define (problem t1) (:domain t) (:objects {}) (:init) (:goal (at c r1)))"
+
+
+# an undeclared type once failed later, as an atom that is not type-consistent
+# in <input>, or grounded an action to nothing: (domain, problem objects)
+UNDECLARED_TYPES = {
+    "constant": (_typed_domain(constant="c - bin"), "r1 - room"),
+    "predicate-parameter": (_typed_domain(predicate="?r - bin"), "r1 - room"),
+    "action-parameter": (_typed_domain(parameter="?r - bin"), "r1 - room"),
+    "object": (_typed_domain(), "r1 - bin"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECLARED_TYPES))
+def test_undeclared_type_is_an_error_naming_it(tmp_path, capsys, case):
+    domain_text, objects = UNDECLARED_TYPES[case]
+    domain, problem = tmp_path / "domain.pddl", tmp_path / "problem.pddl"
+    domain.write_text(domain_text)
+    problem.write_text(TYPED_PROBLEM.format(objects))
+    if case == "object":    # a problem's objects are checked without positions
+        where = f"{problem}:0:0: undeclared type bin of object r1"
+    else:
+        line = next(i for i, text in enumerate(domain_text.split("\n"), 1) if "- bin" in text)
+        col = domain_text.split("\n")[line - 1].index("- bin") + 3
+        where = f"{domain}:{line}:{col}: undeclared type bin"
+    with pytest.raises(UndeclaredNameError) as err:
+        ground(load_domain(str(domain)), load_problem(str(problem)))
+    assert str(err.value) == where
+    assert cli.main(["solve", str(domain), str(problem)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {where}\n"
+
+
+def test_a_parent_type_is_declared():
+    ast = parse_domain("(define (domain t) (:types ball - thing box)\n"
+                       "  (:constants c - thing d - object))")
+    assert ast.declared_types() == {"object", "ball", "thing", "box"}
 
 
 # ── Grounding ────────────────────────────────────────────────────────────────
@@ -347,6 +401,12 @@ def _parse_and_ground(name: str, text: str) -> None:
     else:
         partner = min(n for n in FIXTURE_NAMES if n.startswith(name[:-len(".pddl")] + "-"))
         ground(parse_domain(text), load_problem(fixture_path(partner)))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_every_fixture_parses_and_grounds(name):
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        _parse_and_ground(name, fh.read())
 
 
 EDITS = st.lists(st.tuples(st.sampled_from(("delete", "insert", "replace")),

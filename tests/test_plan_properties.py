@@ -11,10 +11,12 @@ from __future__ import annotations
 import copy
 from dataclasses import fields, replace
 from random import Random
+from unittest.mock import patch
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from poclkit import search
 from poclkit.heuristics import FEATURE_NAMES, build_tables, feature_vector, new_step_values
 from poclkit.learning import LinearModel
 from poclkit.plans import (GOAL_STEP, INIT_STEP, OpenCondition, PartialPlan, Resolver,
@@ -183,8 +185,10 @@ def test_expand_children_match_cold_applications(seed, max_facts, depth):
             break
         # several flaws of one plan in a row, then their cold counterparts
         chosen = rng.sample(flaws, min(3, len(flaws)))
-        batches = [[built(c) for c in expand(plan, task, lambda p, t, flaw=flaw: flaw, tables)]
-                   for flaw in chosen]
+        batches = []
+        for flaw in chosen:
+            with patch.object(search, "select_flaw", lambda *_, flaw=flaw: flaw):
+                batches.append([built(c) for c in expand(plan, task, "mw-loc", tables)])
         for flaw, batch in zip(chosen, batches):
             cold = [c for r in resolvers(plan, flaw, task)
                     if (c := apply_resolver(copy.copy(plan), r)) is not None]

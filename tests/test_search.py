@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from random import Random
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 
@@ -99,17 +101,6 @@ def test_plan_without_flaws_rejected():
             select_flaw(plan, strategy, build_tables(task))
 
 
-def test_custom_flaw_selector_callable(chain_task):
-    tables = build_tables(chain_task)
-
-    def first_flaw(plan, _tables):
-        return collect_flaws(plan)[0]
-
-    result = gbfs(chain_task, FeatureEvaluator("h_add", tables), first_flaw,
-                  SearchLimits(1000, 5.0), tables)
-    assert result.solved and result.plan_length == 2
-
-
 # ── expand ───────────────────────────────────────────────────────────────────
 
 def test_expand_dead_end_empty():
@@ -176,6 +167,19 @@ def test_gbfs_empty_goal_task():
     assert result.solved
     assert result.plan_length == 0
     assert result.visited == 1
+
+
+@pytest.mark.parametrize("problem", ["empty-goal", "gripper-1"])
+@pytest.mark.parametrize("strategy", ["bogus", select_flaw])
+def test_gbfs_rejects_unknown_strategy_before_ranking_the_root(problem, strategy):
+    # the empty-goal root is a solution, so no flaw would ever be selected
+    task = make_task(1, [], {0}, set()) if problem == "empty-goal" else \
+        load_fixture_task("gripper.pddl", "gripper-1.pddl")
+    ranked = []
+    evaluator = SimpleNamespace(rank=ranked.append, rank_new_steps=None)
+    with pytest.raises(ValueError, match=rf"^unknown flaw strategy {re.escape(repr(strategy))}$"):
+        gbfs(task, evaluator, strategy, SearchLimits(100, 5.0), build_tables(task))
+    assert ranked == []
 
 
 def test_gbfs_gripper2_solves_and_validates(gripper2, gripper2_tables):
@@ -331,27 +335,28 @@ _REPLAY_EVALUATORS = {
 @pytest.mark.parametrize("kind", sorted(_REPLAY_EVALUATORS))
 def test_collect_generated_returns_built_plans_in_generation_order(kind, gripper2,
                                                                    gripper2_tables):
-    # the learning replay's plans carry the ranks the sibling kernel gave
-    # them: each trace row's raw rank is the rank of the built plan
+    # a recorded search, as the learning replay runs, searches as an
+    # unrecorded one does and builds every generated plan in node-id order;
+    # each trace row's raw rank is the rank of its built plan
     make = _REPLAY_EVALUATORS[kind]
     limits = SearchLimits(50000, 30.0)
-    lazy = gbfs(gripper2, make(gripper2_tables), "mw-loc", limits, gripper2_tables,
-                record_trace=True)
+    plain = gbfs(gripper2, make(gripper2_tables), "mw-loc", limits, gripper2_tables)
     evaluator = make(gripper2_tables)    # a fresh tracker for the enhanced form
-    eager = gbfs(gripper2, evaluator, "mw-loc", limits, gripper2_tables, record_trace=True,
-                 collect_generated=True)
-    assert lazy.solved and not lazy.generated_plans
-    assert (eager.plan, eager.generated, eager.visited, eager.trace) == \
-        (lazy.plan, lazy.generated, lazy.visited, lazy.trace)
-    plans = [null_plan(gripper2)] + eager.generated_plans
-    assert len(plans) == eager.generated
+    recorded = gbfs(gripper2, evaluator, "mw-loc", limits, gripper2_tables, record_trace=True)
+    assert plain.solved and not plain.trace and not plain.generated_plans
+    assert (recorded.outcome, recorded.plan, recorded.visited, recorded.generated) == \
+        (plain.outcome, plain.plan, plain.visited, plain.generated)
+    plans = [null_plan(gripper2)] + recorded.generated_plans
+    assert [row.node_id for row in recorded.trace] == list(range(len(plans)))
+    assert len(plans) == recorded.generated
     assert all(type(plan) is PartialPlan for plan in plans)
     if getattr(evaluator, "tracker", None) is not None:
         assert evaluator.tracker.observations > 0
-    for row in eager.trace[1:]:
-        child, parent = plans[row.node_id], plans[row.parent_id]
-        assert evaluator.rank(child) == row.h and child.action_count == row.action_count
-        assert child.steps[:len(parent.steps)] == parent.steps
+    for row in recorded.trace:
+        plan = plans[row.node_id]
+        assert evaluator.rank(plan) == row.h and plan.action_count == row.action_count
+        if row.parent_id >= 0:
+            assert plan.steps[:len(plans[row.parent_id].steps)] == plans[row.parent_id].steps
 
 
 def test_visited_plans_are_freed(monkeypatch):
@@ -371,15 +376,16 @@ def test_visited_plans_are_freed(monkeypatch):
                         SimpleNamespace(heappush=counting_push, heappop=heapq.heappop))
     before = live_plans()
 
-    def probe(plan, tables_):
+    def probe(plan, strategy, tables_):
         seen["visits"] += 1
         if seen["visits"] == 1000:
             seen["open"] = seen["pushed"] + 1 - seen["visits"]
             seen["live"] = live_plans() - before
-        return select_flaw(plan, "mw-loc", tables_)
+        return select_flaw(plan, strategy, tables_)
 
-    result = gbfs(task, FeatureEvaluator("h_add", tables), probe,
-                  SearchLimits(100_000, 60.0), tables)
+    with patch.object(search, "select_flaw", probe):
+        result = gbfs(task, FeatureEvaluator("h_add", tables), "mw-loc",
+                      SearchLimits(100_000, 60.0), tables)
     assert result.solved and result.visited > 1000
     assert seen["open"] > 100
     assert seen["live"] <= seen["open"] + 2

@@ -181,8 +181,7 @@ def test_zero_observation_tracker_ranks_identically():
     tables = build_tables(task)
     raw = FeatureEvaluator("h_add", tables)
     tracker = ErrorTracker()
-    probe = gbfs(task, raw, "mw-loc", SearchLimits(5000, 10.0), tables,
-                 collect_generated=True)
+    probe = gbfs(task, raw, "mw-loc", SearchLimits(5000, 10.0), tables, record_trace=True)
     plans = probe.generated_plans[:50]
     assert plans
     for plan in plans:

@@ -11,7 +11,8 @@ once on each side, in alternating order (A then B, then B then A), and times
 each side in CPU seconds after a garbage collection; so the two sides share
 the host's drift. Every round asserts that both sides give identical
 (outcome, generated, visited, plan length) for every search, and for
-``learn`` identical dataset draws and model weights.
+``learn`` identical dataset draws, instances (features, target and the seed
+plan's action count) and model weights.
 
 Workloads, as in the benchmark of the same names but calling ``gbfs``
 directly (no report, no plan files); their problems, evaluators, node budgets
@@ -113,6 +114,8 @@ class Side:
         tables = self.tasks[LEARN_TEST_PROBLEM][1]
         out = [(d.problem, d.solved, d.pool_before, d.pool_after, d.generated)
                for d in dataset.draws]
+        out += [(tuple(inst.features), inst.target, inst.seed_plan.action_count)
+                for inst in dataset.instances]
         out.append((model.mask, model.weights, model.intercept))
         out.append(self._search(LEARN_TEST_PROBLEM, search.FeatureEvaluator(LEARN_BASE, tables)))
         with tempfile.TemporaryDirectory() as tmp:
