@@ -94,7 +94,7 @@ def eval_add(plan: PartialPlan, table: CostTable, reuse: bool = False) -> float:
     producers, after = plan.producers, plan.after
     total = 0.0
     for fact, consumer in plan.open_conds:
-        if reuse and producers.get(fact, 0) & ~((1 << consumer) | after[consumer]):
+        if reuse and producers[fact] & ~((1 << consumer) | after[consumer]):
             continue
         c = table.fact_cost[fact]
         if c == INF:
@@ -156,7 +156,7 @@ def _new_step_sums(base: NewStepBase, table: CostTable, reuse: bool,
         if consumer == qc and fact == q:
             continue
         if reuse:
-            if producers.get(fact, 0) & ~((1 << consumer) | after[consumer]):
+            if producers[fact] & ~((1 << consumer) | after[consumer]):
                 continue
             waiting[fact] = waiting.get(fact, 0) + 1
         c = cost[fact]
@@ -178,7 +178,7 @@ def _new_step_sums(base: NewStepBase, table: CostTable, reuse: bool,
                     else:
                         child_total -= n * c
         for p in act.pre:
-            if reuse and producers.get(p, 0) & ~sid_after:
+            if reuse and producers[p] & ~sid_after:
                 continue
             c = cost[p]
             if c == INF:

@@ -9,6 +9,7 @@ grounding. Errors carry ``file:line:col`` positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Optional
 
 SUPPORTED_REQUIREMENTS = frozenset({":strips", ":typing", ":equality"})
@@ -96,6 +97,9 @@ class DomainAst:
         return set(parents) | set(parents.values())
 
 
+Position = tuple[int, int]    # (line, col) in the source text
+
+
 @dataclass(frozen=True)
 class ProblemAst:
     name: str
@@ -104,6 +108,11 @@ class ProblemAst:
     init: tuple[Atom, ...]   # source order preserved
     goal: tuple[Atom, ...]
     filename: str = field(default="<problem>", compare=False)   # where it was parsed from
+    # where each object, :init atom and :goal atom was parsed from, in the
+    # order of ``objects``, ``init`` and ``goal``; empty for an AST built in code
+    object_pos: tuple[Position, ...] = field(default=(), compare=False, repr=False)
+    init_pos: tuple[Position, ...] = field(default=(), compare=False, repr=False)
+    goal_pos: tuple[Position, ...] = field(default=(), compare=False, repr=False)
 
 
 # ── Tokenizer / s-expression reader ──────────────────────────────────────────
@@ -205,9 +214,11 @@ def _word_at(node: _Node, i: int, what: str, filename: str) -> _Token:
 
 
 def _parse_typed_list(items: list, filename: str,
-                      type_tokens: Optional[list[_Token]] = None) -> tuple[TypedName, ...]:
+                      type_tokens: Optional[list[_Token]] = None,
+                      name_tokens: Optional[list[_Token]] = None) -> tuple[TypedName, ...]:
     """Parse ``n1 n2 - type n3 ...``; names without a type get ``object``.
-    Each type token read is appended to ``type_tokens`` if given."""
+    Each type token read is appended to ``type_tokens`` if given, and each
+    name token, in the order of the names returned, to ``name_tokens``."""
     out: list[TypedName] = []
     pending: list[_Token] = []
     i = 0
@@ -226,6 +237,8 @@ def _parse_typed_list(items: list, filename: str,
             i += 2
         else:
             pending.append(tok)
+            if name_tokens is not None:
+                name_tokens.append(tok)
             i += 1
     out.extend(TypedName(p.value, ROOT_TYPE) for p in pending)
     return tuple(out)
@@ -328,14 +341,15 @@ def _parse_action(node: _Node, arity: dict[str, int], filename: str,
         i += 2
 
     params_node = sections.get(":parameters")
-    params = _parse_typed_list(params_node.items, filename, type_tokens) \
+    param_tokens: list[_Token] = []
+    params = _parse_typed_list(params_node.items, filename, type_tokens, param_tokens) \
         if params_node is not None else ()
     seen = set()
-    for p in params:
-        if p.name in seen:
-            raise ParseError(f"duplicate parameter {p.name} in action {name}",
-                             filename, node.line, node.col)
-        seen.add(p.name)
+    for tok in param_tokens:
+        if tok.value in seen:
+            raise ParseError(f"duplicate parameter {tok.value} in action {name}",
+                             filename, tok.line, tok.col)
+        seen.add(tok.value)
 
     def check_atom(atom: Atom, where: _Node):
         if atom.pred not in arity:
@@ -453,19 +467,23 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
 
     domain_name = ""
     objects: tuple[TypedName, ...] = ()
+    object_tokens: list[_Token] = []
     init: list[Atom] = []
     goal: list[Atom] = []
+    init_pos: list[Position] = []
+    goal_pos: list[Position] = []
 
     for key, section in sections:
         if key.value == ":domain":
             domain_name = _word_at(section, 1, "a domain name", filename).value
         elif key.value == ":objects":
-            objects = _parse_typed_list(section.items[1:], filename)
+            objects = _parse_typed_list(section.items[1:], filename, name_tokens=object_tokens)
         elif key.value == ":init":
             for f in section.items[1:]:
                 if not isinstance(f, _Node):
                     raise ParseError("expected an atom in :init", filename, f.line, f.col)
                 init.append(_parse_atom(f, filename))
+                init_pos.append((f.line, f.col))
         elif key.value == ":goal":
             if len(section.items) != 2 or not isinstance(section.items[1], _Node):
                 raise ParseError("expected one parenthesized formula in (:goal ...)",
@@ -476,6 +494,7 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
                     raise ParseError("negative goals are not supported (STRIPS)",
                                      filename, f.line, f.col)
                 goal.append(a)
+                goal_pos.append((f.line, f.col))
         elif key.value == ":requirements":
             _requirements(section, filename)
         else:
@@ -484,36 +503,50 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
 
     if not domain_name:
         raise ParseError("problem is missing (:domain ...)", filename, root.line, root.col)
-    return ProblemAst(name, domain_name, objects, tuple(init), tuple(goal), filename)
+    return ProblemAst(name, domain_name, objects, tuple(init), tuple(goal), filename,
+                      tuple((t.line, t.col) for t in object_tokens), tuple(init_pos),
+                      tuple(goal_pos))
+
+
+def _positioned(items: tuple, positions: tuple[Position, ...]) -> list[tuple[object, Position]]:
+    """``items`` paired with their positions; (0, 0) where none was kept."""
+    return list(zip(items, chain(positions, repeat((0, 0)))))
 
 
 def check_problem(domain: DomainAst, problem: ProblemAst) -> None:
-    """Validate a problem against its domain: names, arities, declared objects."""
+    """Validate a problem against its domain: names, arities, declared
+    objects. An error names the object or atom at fault at its position."""
     filename = problem.filename
     if problem.domain_name != domain.name:
         raise UndeclaredNameError(
             f"problem declares domain {problem.domain_name}, expected {domain.name}", filename)
     declared = domain.declared_types()
-    for o in problem.objects:
+    objects = _positioned(problem.objects, problem.object_pos)
+    for o, (line, col) in objects:
         if o.type not in declared:
-            raise UndeclaredNameError(f"undeclared type {o.type} of object {o.name}", filename)
+            raise UndeclaredNameError(f"undeclared type {o.type} of object {o.name}",
+                                      filename, line, col)
     known: set[str] = set()
-    for n in [c.name for c in domain.constants] + [o.name for o in problem.objects]:
+    for n, (line, col) in [(c.name, (0, 0)) for c in domain.constants] + \
+            [(o.name, pos) for o, pos in objects]:
         if n in known:
-            raise UndeclaredNameError(f"duplicate object name {n}", filename)
+            raise UndeclaredNameError(f"duplicate object name {n}", filename, line, col)
         known.add(n)
     arity = {p: len(params) for p, params in domain.predicates}
-    for where, atoms in (("init", problem.init), ("goal", problem.goal)):
-        for atom in atoms:
+    for where, atoms in (("init", _positioned(problem.init, problem.init_pos)),
+                         ("goal", _positioned(problem.goal, problem.goal_pos))):
+        for atom, (line, col) in atoms:
             if atom.pred not in arity:
-                raise UndeclaredNameError(f"undeclared predicate {atom.pred} in :{where}", filename)
+                raise UndeclaredNameError(f"undeclared predicate {atom.pred} in :{where}",
+                                          filename, line, col)
             if len(atom.args) != arity[atom.pred]:
                 raise UndeclaredNameError(
                     f"predicate {atom.pred} expects {arity[atom.pred]} arguments in :{where}",
-                    filename)
+                    filename, line, col)
             for a in atom.args:
                 if a not in known:
-                    raise UndeclaredNameError(f"undeclared object {a} in :{where}", filename)
+                    raise UndeclaredNameError(f"undeclared object {a} in :{where}",
+                                              filename, line, col)
 
 
 # ── Pretty printing (round-trip support) ─────────────────────────────────────

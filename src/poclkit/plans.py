@@ -7,17 +7,21 @@ change. The ordering closure, one "comes after" bitmask per step updated
 incrementally on edge insertion, is the only ordering structure: the
 linearizations and the schedule read their edges from it, which is sound
 because the closure has the same reachability as the inserted edges. One
-fact -> step bitmask, ``producers``, makes the reuse test a mask operation;
+step bitmask per fact, ``producers``, makes the reuse test a mask operation;
 threats are found by scanning the steps (new link) or the links (new step).
 Every evaluation reads ``producers``: scanning the steps there instead kept
 the plans but slowed the suite-reuse benchmark from 0.62 s to 0.79 s.
 
 Step 0 is the initial dummy (adds the initial state), step 1 the goal dummy
 (whose preconditions are the goal); real steps are numbered from 2, and ids
-are contiguous. The steps and the closure are tuples indexed by step id; the
+are contiguous. The steps and the closure are tuples indexed by step id,
+``producers`` a tuple indexed by fact id (0 where no step adds the fact); the
 causal links and open conditions are tuples in the order they were
 introduced. A child is built from slices and concatenations of its parent's
 tuples, and a child that does not change one shares the parent's object.
+At 8 bytes a fact, the tuple is smaller than a fact -> mask dict of the
+facts with a producer on every bundled problem (160 against 352 to 632
+bytes on gripper-train-7).
 
 The new-step children of one open condition, one per adding action, differ
 only in the action. They share one base: the closure, the new causal link
@@ -26,7 +30,7 @@ threats on the new link. Each child builds only its steps, its
 ``producers``, its action's preconditions as open conditions and the threats
 its step poses to existing links. The caller holds the base
 (``new_step_base``) and passes it to ``apply_resolver``, so a search can
-queue a child as its base plus its resolver and build it only when popped.
+queue a child as its base plus its action and build it only when popped.
 A base is made with only the parent plan, the open condition and the new
 step's row of the closure, which is what ranking the children reads; its
 shared part is built when the first child is built, so a flaw none of
@@ -91,7 +95,7 @@ class PartialPlan:
     steps: tuple[GroundAction, ...]           # indexed by step id
     after: tuple[int, ...]                    # step id -> bitmask of steps strictly after it;
                                               # the transitive closure, the one ordering record
-    producers: dict[int, int]                 # fact -> bitmask of steps adding it
+    producers: tuple[int, ...]                # fact id -> bitmask of steps adding it
     links: tuple[CausalLink, ...]             # in introduction order, oldest first
     open_conds: tuple[OpenCondition, ...]     # in introduction order, oldest first
     threats: tuple[Threat, ...]               # in introduction order, oldest first
@@ -203,7 +207,8 @@ def null_plan(task: GroundTask) -> PartialPlan:
     return PartialPlan(
         steps=(init_action(task), goal_action(task)),
         after=(1 << GOAL_STEP, 0),
-        producers=dict.fromkeys(task.init, 1 << INIT_STEP),
+        producers=tuple(1 << INIT_STEP if f in task.init else 0
+                        for f in range(len(task.facts))),
         links=(),
         open_conds=tuple(OpenCondition(g, GOAL_STEP) for g in task.goal),
         threats=(),
@@ -235,7 +240,7 @@ def resolvers(plan: PartialPlan, flaw: Flaw, task: GroundTask,
     # Only copies of q's adders are compared with the bound, and every step
     # holding one adds q: the producers of q other than a0 are the steps to count.
     copies: dict[int, int] = {}
-    adding = plan.producers.get(q, 0)
+    adding = plan.producers[q]
     if adding:
         blocked = (1 << c) | plan.after[c]    # c and the steps after it
         for sid in _bits(adding):
@@ -294,8 +299,8 @@ class NewStepBase:
         link = CausalLink(sid, q, c)
         self.links = plan.links + (link,)
         self.open_conds = _without(plan.open_conds, OpenCondition(q, c))
-        self.on_link = _threats_on_link(after, plan.steps, link)
-        self.threats = plan.threats + tuple(self.on_link)
+        self.on_link = tuple(_threats_on_link(after, plan.steps, link))
+        self.threats = plan.threats + self.on_link
 
 
 _SHARED = frozenset(NewStepBase.__slots__[4:])
@@ -323,19 +328,20 @@ def apply_resolver(plan: PartialPlan, resolver: Resolver,
             base = new_step_base(plan, q, c)
         sid = len(plan.steps)
         bit = 1 << sid
-        producers = dict(plan.producers)
+        producers = list(plan.producers)
         for f in act.add:
-            producers[f] = producers.get(f, 0) | bit
+            producers[f] |= bit
         after = base.after
         by_step = _threats_by_step(after, sid, act, plan.links)
         if by_step:
-            threats = plan.threats + tuple(sorted(by_step + base.on_link, key=_threat_sort_key))
+            by_step += base.on_link
+            threats = plan.threats + tuple(sorted(by_step, key=_threat_sort_key))
         else:
             threats = base.threats
         open_conds = []
         for f in act.pre:
             open_conds.append(_record(OpenCondition, (f, sid)))
-        return PartialPlan(plan.steps + (act,), after, producers, base.links,
+        return PartialPlan(plan.steps + (act,), after, tuple(producers), base.links,
                            base.open_conds + tuple(open_conds), threats)
 
     if kind == "reuse":

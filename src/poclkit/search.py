@@ -6,8 +6,10 @@ newest step). Ranks are frozen at node-generation time: a tracker update never
 re-ranks plans already in the queue.
 
 A new-step child is queued pending, as its flaw's shared new-step base and
-its resolver, and built only when popped; about half of all generated plans
-are never popped. It is ranked at generation from ``new_step_values``, which
+its action in the heap entry itself, and built only when popped; about half
+of all generated plans are never popped. Its resolver is made again from the
+base and the action when it is popped, so the open list holds no resolver
+records. It is ranked at generation from ``new_step_values``, which
 gives the built child's features exactly, so the search is the same as if
 every child were built at once; the base builds what its children share
 only when the first of them is popped. A ``ModelEvaluator`` computes only the
@@ -30,9 +32,9 @@ from .heuristics import (FEATURE_NAMES, CostTables, build_tables, feature_value,
 # not called here since models rank from their masked features; the name
 # stays bound because perfbench's tracer wraps poclkit.search.feature_vector
 from .heuristics import feature_vector  # noqa: F401
-from .plans import (MAX_COPIES, Flaw, NewStepBase, PartialPlan, Resolver, apply_resolver,
-                    is_solution, makespan, new_step_base, null_plan, resolvers, step_sequence,
-                    validate)
+from .plans import (MAX_COPIES, Flaw, NewStepBase, PartialPlan, Resolver, _record,
+                    apply_resolver, is_solution, makespan, new_step_base, null_plan, resolvers,
+                    step_sequence, validate)
 from .tuning import ErrorTracker, TraceRow, step_error
 
 log = logging.getLogger("poclkit.search")
@@ -174,6 +176,13 @@ def built(child: Child) -> PartialPlan:
     return child
 
 
+def _pending_child(base: NewStepBase, act: GroundAction) -> PartialPlan:
+    """Build the queued new-step child of ``base`` that adds ``act``; its
+    resolver is made again, positionally, as ``resolvers`` makes it."""
+    return apply_resolver(base.plan, _record(Resolver, (
+        "new-step", base.fact, base.consumer, None, act, None)), base)
+
+
 def _best_index(ranks: list[float], counts: list[int]) -> int:
     """Argmin by rank; ties by fewer actions (``counts``), then by insertion order."""
     best_i = 0
@@ -198,10 +207,11 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
     step error of the evaluator's raw ranks before the children are enqueued
     with enhanced ranks. A solution that does not re-simulate raises RuntimeError.
 
-    A new-step child is queued pending and built when popped; other children
-    are built at generation. A queued entry keeps at most one plan alive, its
-    own or, when pending, its parent's, so memory grows with the open list,
-    not with every generated node. ``record_trace`` records a ``TraceRow``
+    A new-step child is queued pending, as its base and its action, and
+    built when popped; other children are built at generation. A queued
+    entry keeps at most one plan alive, its own or, when pending, its
+    parent's, so memory grows with the open list, not with every generated
+    node; no resolver outlives its expansion. ``record_trace`` records a ``TraceRow``
     per generated node and builds each child into ``generated_plans`` as it
     is queued, so a recorded search keeps every generated plan alive. Node
     ids (trace rows, ``solution_node_id``) number plans in generation order,
@@ -228,9 +238,11 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
     generated = 1    # also the next node id; ids are unique, so entries never compare children
     visited = 0
     rank0 = tracker.enhance(h0) if tracker is not None else h0
-    # (rank, action count, node id, child, raw rank)
-    heap: list[tuple[float, int, int, Child, float]] = \
-        [(rank0, plan0.action_count, 0, plan0, h0)]
+    # (rank, action count, node id, plan or base, action or None, raw rank);
+    # a pending child's entry holds its base and its action
+    heap: list[tuple[float, int, int, Union[PartialPlan, NewStepBase],
+                     Optional[GroundAction], float]] = \
+        [(rank0, plan0.action_count, 0, plan0, None, h0)]
     generated_plans: list[PartialPlan] = []
     debug = log.isEnabledFor(logging.DEBUG)
     max_generated, wall_time = limits.max_generated, limits.wall_time
@@ -252,27 +264,33 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
     while heap:
         if time.monotonic() - start > wall_time:
             return finish("limit-hit")
-        _, _, node_id, child, h_parent = heapq.heappop(heap)
-        plan = built(child)
+        _, _, node_id, plan, act, h_parent = heapq.heappop(heap)
+        if act is not None:    # ``plan`` is the base of a pending child
+            plan = _pending_child(plan, act)
         visited += 1
         if is_solution(plan):
             return finish("solved", plan, node_id)
         if debug and visited % 5000 == 0:
             log.debug("visited=%d generated=%d queue=%d", visited, generated, len(heap))
 
-        children = expand(plan, task, strategy, tables, max_copies)
-        if not children:
-            continue
-        raws, actions = [], []
-        for ch in children:
-            if type(ch) is tuple:
-                actions.append(ch[1].action)
+        # expand's list is not kept: once split into built plans and new-step
+        # actions, its pending pairs and their resolvers are freed by the
+        # time the children are queued
+        plans, raws, actions = [], [], []
+        for child in expand(plan, task, strategy, tables, max_copies):
+            if type(child) is tuple:
+                actions.append(child[1].action)
             else:
-                raws.append(rank(ch))
+                plans.append(child)
+                raws.append(rank(child))
+        if not plans and not actions:
+            continue
         n = plan.action_count
         counts = [n] * len(raws)    # reuse and ordering children add no step
+        base = None
         if actions:
-            raws += rank_new_steps(children[-1][0], actions)
+            base = child[0]    # new-step children come last
+            raws += rank_new_steps(base, actions)
             counts += [n + 1] * len(actions)
         if tracker is not None or record_trace:
             best_i = _best_index(raws, counts)
@@ -285,14 +303,20 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
         else:
             ranks = raws
 
-        for i, child in enumerate(children):
+        n_plans = len(plans)
+        for i, raw in enumerate(raws):
             if generated >= max_generated:
                 return finish("limit-hit")
+            if i < n_plans:
+                child, act = plans[i], None
+            else:
+                child, act = base, actions[i - n_plans]
             if record_trace:
-                trace.append(TraceRow(generated, node_id, raws[i], counts[i], i == best_i))
-                child = built(child)
+                trace.append(TraceRow(generated, node_id, raw, counts[i], i == best_i))
+                if act is not None:
+                    child, act = _pending_child(child, act), None
                 generated_plans.append(child)
-            heapq.heappush(heap, (ranks[i], counts[i], generated, child, raws[i]))
+            heapq.heappush(heap, (ranks[i], counts[i], generated, child, act, raw))
             generated += 1
 
     return finish("exhausted")

@@ -118,6 +118,10 @@ MALFORMED = {
     "repeated-action": (
         "domain", "(define (domain d) (:predicates (p) (q))\n  (:action a :effect (p))\n"
         "  (:action a :effect (q)))", (3, 12)),
+    # a repeated parameter was reported at the action's parenthesis
+    "duplicate-parameter": (
+        "domain", "(define (domain d) (:predicates (p ?x))\n  (:action a :parameters (?x ?y\n"
+        " ?x) :effect (p ?x)))", (3, 2)),
 }
 
 
@@ -227,6 +231,40 @@ def test_problem_check_errors_name_the_problem_file(tmp_path, capsys, old, new):
     assert capsys.readouterr().err.startswith(f"error: {path}:")
 
 
+# problem-side errors once read file:0:0: (text replaced in gripper-1, its
+# replacement, the message); the error is at the replacement's first object
+# or atom
+PROBLEM_ERRORS = {
+    "undeclared-type": ("ball1 - ball", "ball1 - bin", "undeclared type bin"),
+    "duplicate-object": ("right - gripper", "rooma - gripper", "duplicate object name rooma"),
+    "undeclared-object-in-init": ("(free right)", "(free middle)", "undeclared object middle"),
+    "undeclared-object-in-goal": ("(at ball1 roomb)", "(at ball1 roomz)",
+                                  "undeclared object roomz"),
+    "undeclared-predicate": ("(free left)", "(loose left)", "undeclared predicate loose"),
+    "wrong-arity": ("(at-robby rooma)", "(at-robby rooma roomb)",
+                    "predicate at-robby expects 1 arguments"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROBLEM_ERRORS))
+def test_problem_check_errors_carry_their_position(tmp_path, capsys, case):
+    old, new, message = PROBLEM_ERRORS[case]
+    with open(fixture_path("gripper-1.pddl")) as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    before = text[:text.index(new)]
+    line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+    path = str(tmp_path / "bad-problem.pddl")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(UndeclaredNameError) as err:
+        ground(load_domain(fixture_path("gripper.pddl")), load_problem(path))
+    assert str(err.value).startswith(f"{path}:{line}:{col}: {message}")
+    assert cli.main(["solve", fixture_path("gripper.pddl"), path]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {path}:{line}:{col}: {message}")
+
+
 def _typed_domain(constant: str = "c - ball", predicate: str = "?r - room",
                   parameter: str = "?r - room") -> str:
     return ("(define (domain t) (:requirements :strips :typing)\n"
@@ -255,8 +293,9 @@ def test_undeclared_type_is_an_error_naming_it(tmp_path, capsys, case):
     domain, problem = tmp_path / "domain.pddl", tmp_path / "problem.pddl"
     domain.write_text(domain_text)
     problem.write_text(TYPED_PROBLEM.format(objects))
-    if case == "object":    # a problem's objects are checked without positions
-        where = f"{problem}:0:0: undeclared type bin of object r1"
+    if case == "object":    # at the object, in the problem
+        col = TYPED_PROBLEM.index("{}") + 1
+        where = f"{problem}:1:{col}: undeclared type bin of object r1"
     else:
         line = next(i for i, text in enumerate(domain_text.split("\n"), 1) if "- bin" in text)
         col = domain_text.split("\n")[line - 1].index("- bin") + 3

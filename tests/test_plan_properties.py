@@ -54,9 +54,10 @@ def _threats(plan, reach) -> set:
             and link.producer not in reach[t] and t not in reach[link.consumer]}
 
 
-def _snapshot(plan):
+def _snapshot(task, plan):
+    assert type(plan.producers) is tuple and len(plan.producers) == len(task.facts)
     return (dict(enumerate(plan.steps)), dict(enumerate(plan.after)),
-            dict(plan.producers), plan.links, plan.open_conds, plan.threats, plan.newest_step)
+            plan.producers, plan.links, plan.open_conds, plan.threats, plan.newest_step)
 
 
 def _check_plan(task, tables, plan, edges):
@@ -64,9 +65,10 @@ def _check_plan(task, tables, plan, edges):
     assert dict(enumerate(plan.after)) == {sid: sum(1 << n for n in after)
                                            for sid, after in reach.items()}
     facts = range(len(task.facts))
+    assert type(plan.producers) is tuple and len(plan.producers) == len(task.facts)
     assert {f: m for f in facts
             if (m := sum(1 << s for s, a in enumerate(plan.steps) if f in a.add))} \
-        == {f: m for f, m in plan.producers.items() if m}
+        == {f: m for f, m in enumerate(plan.producers) if m}
 
     assert set(plan.threats) == _threats(plan, reach)
     assert len(set(plan.threats)) == len(plan.threats)
@@ -113,7 +115,7 @@ def test_random_refinements_match_brute_force(seed, max_facts, depth):
     task = random_task(rng, max_facts=max_facts)
     tables = build_tables(task)
     plan, edges = null_plan(task), {(INIT_STEP, GOAL_STEP)}
-    path = [(plan, _snapshot(plan))]
+    path = [(plan, _snapshot(task, plan))]
     for _ in range(depth):
         _check_plan(task, tables, plan, edges)
         flaws = collect_flaws(plan)
@@ -123,16 +125,16 @@ def test_random_refinements_match_brute_force(seed, max_facts, depth):
         if not options:
             break
         children = [apply_resolver(plan, r) for r in options]
-        assert _snapshot(plan) == path[-1][1]
+        assert _snapshot(task, plan) == path[-1][1]
         i = rng.randrange(len(options))
         if children[i] is None:
             break
         edges = edges | set(_new_edges(children[i], options[i]))
         plan = children[i]
-        path.append((plan, _snapshot(plan)))
+        path.append((plan, _snapshot(task, plan)))
     _check_plan(task, tables, plan, edges)
     # refining a descendant never reaches back into an ancestor's containers
-    assert all(_snapshot(p) == snap for p, snap in path)
+    assert all(_snapshot(task, p) == snap for p, snap in path)
     if is_solution(plan):
         for _ in range(3):
             assert validate(task, step_sequence(plan, random_linearization(plan, rng)))

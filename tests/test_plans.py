@@ -249,7 +249,7 @@ def test_new_step_base_builds_its_shared_part_once_for_the_first_child(gripper2,
     assert shared == len(plan.open_conds) - 1
     for child in (first, second):
         assert all(a is b for a, b in zip(child.open_conds[:shared], base.open_conds))
-    assert base.threats == plan.threats + tuple(base.on_link)
+    assert base.threats == plan.threats + base.on_link
 
 
 def test_new_step_on_another_plan_after_a_sibling_batch(gripper2):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import re
@@ -389,6 +390,32 @@ def test_visited_plans_are_freed(monkeypatch):
     assert result.solved and result.visited > 1000
     assert seen["open"] > 100
     assert seen["live"] <= seen["open"] + 2
+
+
+def test_queued_children_hold_no_resolver():
+    # a pending new-step child is queued as its base and its action; its
+    # resolver is made again only when it is popped, so mid-search no
+    # resolver is alive beyond those alive before the search
+    task = load_fixture_task("gripper.pddl", "gripper-3.pddl")
+    tables = build_tables(task)
+    seen = {"visits": 0}
+
+    def live_resolvers() -> int:
+        return sum(1 for obj in gc.get_objects() if type(obj) is Resolver)
+
+    before = live_resolvers()
+
+    def probe(plan, strategy, tables_):
+        seen["visits"] += 1
+        if seen["visits"] == 1000:
+            seen["live"] = live_resolvers() - before
+        return select_flaw(plan, strategy, tables_)
+
+    with patch.object(search, "select_flaw", probe):
+        result = gbfs(task, FeatureEvaluator("h_add", tables), "mw-loc",
+                      SearchLimits(100_000, 60.0), tables)
+    assert result.solved and result.visited > 1000
+    assert seen["live"] == 0
 
 
 def test_only_a_base_with_a_built_child_builds_its_shared_part(monkeypatch):
