@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .pddl import ROOT_TYPE, Atom, DomainAst, ProblemAst, TypedName, UndeclaredNameError, check_problem
+from .pddl import (ROOT_TYPE, Atom, DomainAst, Position, ProblemAst, TypedName,
+                   UndeclaredNameError, check_problem, positioned)
 
 
 @dataclass(frozen=True)
@@ -96,13 +97,14 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
         for combo in product(*pools):
             intern(pname, tuple(combo))
 
-    def resolve(atom: Atom, binding: dict[str, str], where: str) -> int:
+    def resolve(atom: Atom, binding: dict[str, str], where: str,
+                pos: Position = (0, 0)) -> int:
         args = tuple(binding.get(a, a) for a in atom.args)
         key = _atom_key(atom.pred, args)
         idx = fact_ids.get(key)
         if idx is None:
             raise UndeclaredNameError(f"atom {key} in {where} is not type-consistent",
-                                      problem.filename)
+                                      problem.filename, *pos)
         return idx
 
     actions: list[GroundAction] = []
@@ -127,8 +129,10 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
             # add wins over delete (PDDL semantics); keeps add/delete disjoint
             actions.append(GroundAction(len(actions), name, pre, add, dele - add))
 
-    init = frozenset(resolve(a, {}, ":init") for a in problem.init)
-    goal = frozenset(resolve(a, {}, ":goal") for a in problem.goal)
+    init = frozenset(resolve(a, {}, ":init", pos)
+                     for a, pos in positioned(problem.init, problem.init_pos))
+    goal = frozenset(resolve(a, {}, ":goal", pos)
+                     for a, pos in positioned(problem.goal, problem.goal_pos))
 
     return GroundTask(domain.name, problem.name, tuple(fact_names), tuple(actions),
                       init, goal, fact_ids)

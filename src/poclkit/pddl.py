@@ -508,7 +508,7 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
                       tuple(goal_pos))
 
 
-def _positioned(items: tuple, positions: tuple[Position, ...]) -> list[tuple[object, Position]]:
+def positioned(items: tuple, positions: tuple[Position, ...]) -> list[tuple[object, Position]]:
     """``items`` paired with their positions; (0, 0) where none was kept."""
     return list(zip(items, chain(positions, repeat((0, 0)))))
 
@@ -521,7 +521,7 @@ def check_problem(domain: DomainAst, problem: ProblemAst) -> None:
         raise UndeclaredNameError(
             f"problem declares domain {problem.domain_name}, expected {domain.name}", filename)
     declared = domain.declared_types()
-    objects = _positioned(problem.objects, problem.object_pos)
+    objects = positioned(problem.objects, problem.object_pos)
     for o, (line, col) in objects:
         if o.type not in declared:
             raise UndeclaredNameError(f"undeclared type {o.type} of object {o.name}",
@@ -533,8 +533,8 @@ def check_problem(domain: DomainAst, problem: ProblemAst) -> None:
             raise UndeclaredNameError(f"duplicate object name {n}", filename, line, col)
         known.add(n)
     arity = {p: len(params) for p, params in domain.predicates}
-    for where, atoms in (("init", _positioned(problem.init, problem.init_pos)),
-                         ("goal", _positioned(problem.goal, problem.goal_pos))):
+    for where, atoms in (("init", positioned(problem.init, problem.init_pos)),
+                         ("goal", positioned(problem.goal, problem.goal_pos))):
         for atom, (line, col) in atoms:
             if atom.pred not in arity:
                 raise UndeclaredNameError(f"undeclared predicate {atom.pred} in :{where}",

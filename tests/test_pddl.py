@@ -243,6 +243,8 @@ PROBLEM_ERRORS = {
     "undeclared-predicate": ("(free left)", "(loose left)", "undeclared predicate loose"),
     "wrong-arity": ("(at-robby rooma)", "(at-robby rooma roomb)",
                     "predicate at-robby expects 1 arguments"),
+    "not-type-consistent": ("(at ball1 rooma)", "(at left rooma)",
+                            "atom (at left rooma) in :init is not type-consistent"),
 }
 
 
