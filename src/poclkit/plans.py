@@ -15,13 +15,22 @@ the plans but slowed the suite-reuse benchmark from 0.62 s to 0.79 s.
 Step 0 is the initial dummy (adds the initial state), step 1 the goal dummy
 (whose preconditions are the goal); real steps are numbered from 2, and ids
 are contiguous. The steps and the closure are tuples indexed by step id,
-``producers`` a tuple indexed by fact id (0 where no step adds the fact); the
+``producers`` a list indexed by fact id (0 where no step adds the fact); the
 causal links and open conditions are tuples in the order they were
 introduced. A child is built from slices and concatenations of its parent's
-tuples, and a child that does not change one shares the parent's object.
-At 8 bytes a fact, the tuple is smaller than a fact -> mask dict of the
-facts with a producer on every bundled problem (160 against 352 to 632
-bytes on gripper-train-7).
+tuples and ``producers``, and a child that does not change one shares the
+parent's object; no container is changed once its plan is built.
+
+``producers`` costs 8 bytes per ground fact, where a fact -> mask dict cost
+about 40 bytes per fact with a producer, so per built plan the list is the
+smaller only while a task has fewer than about five times as many ground
+facts as a plan has produced. Ground facts grow about with the square of the
+objects and produced facts about linearly: on a 15-block tower (271 facts) a
+built plan's list is about twice the dict, though the search peak still fell
+there, since most queued children are pending and own no ``producers``
+(``tools/mem_peaks.py``). It is a list, not a tuple, because CPython keeps
+up to 2,000 freed tuples of each length up to 20 on free lists, which held
+about 256 KB after the bundled suites' searches.
 
 The new-step children of one open condition, one per adding action, differ
 only in the action. They share one base: the closure, the new causal link
@@ -91,11 +100,12 @@ class Resolver(NamedTuple):
 @dataclass(slots=True)
 class PartialPlan:
     """A partial plan. It is never changed once built: a refinement is a new
-    plan, and children share the parent's tuples, which relies on it."""
+    plan, and children share the parent's tuples and ``producers`` list,
+    which relies on it."""
     steps: tuple[GroundAction, ...]           # indexed by step id
     after: tuple[int, ...]                    # step id -> bitmask of steps strictly after it;
                                               # the transitive closure, the one ordering record
-    producers: tuple[int, ...]                # fact id -> bitmask of steps adding it
+    producers: list[int]                      # fact id -> bitmask of steps adding it
     links: tuple[CausalLink, ...]             # in introduction order, oldest first
     open_conds: tuple[OpenCondition, ...]     # in introduction order, oldest first
     threats: tuple[Threat, ...]               # in introduction order, oldest first
@@ -207,8 +217,7 @@ def null_plan(task: GroundTask) -> PartialPlan:
     return PartialPlan(
         steps=(init_action(task), goal_action(task)),
         after=(1 << GOAL_STEP, 0),
-        producers=tuple(1 << INIT_STEP if f in task.init else 0
-                        for f in range(len(task.facts))),
+        producers=[1 << INIT_STEP if f in task.init else 0 for f in range(len(task.facts))],
         links=(),
         open_conds=tuple(OpenCondition(g, GOAL_STEP) for g in task.goal),
         threats=(),
@@ -253,8 +262,14 @@ def resolvers(plan: PartialPlan, flaw: Flaw, task: GroundTask,
     for aid in task.adders[q]:
         if copies and copies.get(aid, 0) >= max_copies:
             continue
-        out.append(_record(Resolver, ("new-step", q, c, None, actions[aid], None)))
+        out.append(new_step_resolver(q, c, actions[aid]))
     return out
+
+
+def new_step_resolver(q: int, c: int, act: GroundAction) -> Resolver:
+    """The resolver supporting the open condition ``(q, c)`` with a new step
+    of ``act``, as ``resolvers`` makes it."""
+    return _record(Resolver, ("new-step", q, c, None, act, None))
 
 
 class NewStepBase:
@@ -341,7 +356,7 @@ def apply_resolver(plan: PartialPlan, resolver: Resolver,
         open_conds = []
         for f in act.pre:
             open_conds.append(_record(OpenCondition, (f, sid)))
-        return PartialPlan(plan.steps + (act,), after, tuple(producers), base.links,
+        return PartialPlan(plan.steps + (act,), after, producers, base.links,
                            base.open_conds + tuple(open_conds), threats)
 
     if kind == "reuse":

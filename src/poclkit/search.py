@@ -7,9 +7,9 @@ re-ranks plans already in the queue.
 
 A new-step child is queued pending, as its flaw's shared new-step base and
 its action in the heap entry itself, and built only when popped; about half
-of all generated plans are never popped. Its resolver is made again from the
-base and the action when it is popped, so the open list holds no resolver
-records. It is ranked at generation from ``new_step_values``, which
+of all generated plans are never popped. ``built`` makes its resolver from
+the base and the action when it is popped, so the open list holds no
+resolver records. It is ranked at generation from ``new_step_values``, which
 gives the built child's features exactly, so the search is the same as if
 every child were built at once; the base builds what its children share
 only when the first of them is popped. A ``ModelEvaluator`` computes only the
@@ -32,8 +32,8 @@ from .heuristics import (FEATURE_NAMES, CostTables, build_tables, feature_value,
 # not called here since models rank from their masked features; the name
 # stays bound because perfbench's tracer wraps poclkit.search.feature_vector
 from .heuristics import feature_vector  # noqa: F401
-from .plans import (MAX_COPIES, Flaw, NewStepBase, PartialPlan, Resolver, _record,
-                    apply_resolver, is_solution, makespan, new_step_base, null_plan, resolvers,
+from .plans import (MAX_COPIES, Flaw, NewStepBase, PartialPlan, apply_resolver, is_solution,
+                    makespan, new_step_base, new_step_resolver, null_plan, resolvers,
                     step_sequence, validate)
 from .tuning import ErrorTracker, TraceRow, step_error
 
@@ -139,10 +139,10 @@ def select_flaw(plan: PartialPlan, strategy: str, tables: CostTables) -> Flaw:
     return best
 
 
-# A new-step child not built yet: its flaw's shared base and its resolver. A
+# A new-step child not built yet: its flaw's shared base and its action. A
 # plain pair, since one is made per generated new-step child and a named
 # tuple costs several times as much to make; a built child is a PartialPlan.
-Pending = tuple[NewStepBase, Resolver]
+Pending = tuple[NewStepBase, GroundAction]
 Child = Union[PartialPlan, Pending]
 
 
@@ -160,7 +160,7 @@ def expand(plan: PartialPlan, task: GroundTask, strategy: str, tables: CostTable
         if res.kind == "new-step":
             if base is None:
                 base = new_step_base(plan, res.fact, res.consumer)
-            children.append((base, res))
+            children.append((base, res.action))
         else:
             child = apply_resolver(plan, res)
             if child is not None:
@@ -171,16 +171,9 @@ def expand(plan: PartialPlan, task: GroundTask, strategy: str, tables: CostTable
 def built(child: Child) -> PartialPlan:
     """The plan of a child from ``expand``; a pending one is built now."""
     if type(child) is tuple:
-        base, res = child
-        return apply_resolver(base.plan, res, base)
+        base, act = child
+        return apply_resolver(base.plan, new_step_resolver(base.fact, base.consumer, act), base)
     return child
-
-
-def _pending_child(base: NewStepBase, act: GroundAction) -> PartialPlan:
-    """Build the queued new-step child of ``base`` that adds ``act``; its
-    resolver is made again, positionally, as ``resolvers`` makes it."""
-    return apply_resolver(base.plan, _record(Resolver, (
-        "new-step", base.fact, base.consumer, None, act, None)), base)
 
 
 def _best_index(ranks: list[float], counts: list[int]) -> int:
@@ -266,20 +259,20 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
             return finish("limit-hit")
         _, _, node_id, plan, act, h_parent = heapq.heappop(heap)
         if act is not None:    # ``plan`` is the base of a pending child
-            plan = _pending_child(plan, act)
+            plan = built((plan, act))
         visited += 1
         if is_solution(plan):
             return finish("solved", plan, node_id)
         if debug and visited % 5000 == 0:
             log.debug("visited=%d generated=%d queue=%d", visited, generated, len(heap))
 
-        # expand's list is not kept: once split into built plans and new-step
-        # actions, its pending pairs and their resolvers are freed by the
-        # time the children are queued
-        plans, raws, actions = [], [], []
+        # expand's list is split into built plans and the new-step actions of
+        # its one base, and not kept: the queue holds no pending pairs
+        plans, raws, base, actions = [], [], None, []
         for child in expand(plan, task, strategy, tables, max_copies):
             if type(child) is tuple:
-                actions.append(child[1].action)
+                base, act = child
+                actions.append(act)
             else:
                 plans.append(child)
                 raws.append(rank(child))
@@ -287,9 +280,7 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
             continue
         n = plan.action_count
         counts = [n] * len(raws)    # reuse and ordering children add no step
-        base = None
         if actions:
-            base = child[0]    # new-step children come last
             raws += rank_new_steps(base, actions)
             counts += [n + 1] * len(actions)
         if tracker is not None or record_trace:
@@ -314,7 +305,7 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
             if record_trace:
                 trace.append(TraceRow(generated, node_id, raw, counts[i], i == best_i))
                 if act is not None:
-                    child, act = _pending_child(child, act), None
+                    child, act = built((child, act)), None
                 generated_plans.append(child)
             heapq.heappush(heap, (ranks[i], counts[i], generated, child, act, raw))
             generated += 1

@@ -55,9 +55,9 @@ def _threats(plan, reach) -> set:
 
 
 def _snapshot(task, plan):
-    assert type(plan.producers) is tuple and len(plan.producers) == len(task.facts)
+    assert type(plan.producers) is list and len(plan.producers) == len(task.facts)
     return (dict(enumerate(plan.steps)), dict(enumerate(plan.after)),
-            plan.producers, plan.links, plan.open_conds, plan.threats, plan.newest_step)
+            list(plan.producers), plan.links, plan.open_conds, plan.threats, plan.newest_step)
 
 
 def _check_plan(task, tables, plan, edges):
@@ -65,7 +65,7 @@ def _check_plan(task, tables, plan, edges):
     assert dict(enumerate(plan.after)) == {sid: sum(1 << n for n in after)
                                            for sid, after in reach.items()}
     facts = range(len(task.facts))
-    assert type(plan.producers) is tuple and len(plan.producers) == len(task.facts)
+    assert type(plan.producers) is list and len(plan.producers) == len(task.facts)
     assert {f: m for f in facts
             if (m := sum(1 << s for s, a in enumerate(plan.steps) if f in a.add))} \
         == {f: m for f, m in enumerate(plan.producers) if m}

@@ -292,9 +292,7 @@ class OracleEvaluator:
         return float(remaining) if remaining is not None else float("inf")
 
     def rank_new_steps(self, base, actions):
-        return [self.rank(search.built((base, Resolver("new-step", base.fact, base.consumer,
-                                                       action=act))))
-                for act in actions]
+        return [self.rank(search.built((base, act))) for act in actions]
 
 
 def test_perfect_evaluator_ideal_case():
