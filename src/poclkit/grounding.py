@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .pddl import (ROOT_TYPE, Atom, DomainAst, Position, ProblemAst, TypedName,
-                   UndeclaredNameError, check_problem, positioned)
+from .pddl import (ROOT_TYPE, Atom, DomainAst, ProblemAst, TypedName, UndeclaredNameError,
+                   check_problem)
 
 
 @dataclass(frozen=True)
@@ -97,18 +97,20 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
         for combo in product(*pools):
             intern(pname, tuple(combo))
 
-    def resolve(atom: Atom, binding: dict[str, str], where: str,
-                pos: Position = (0, 0)) -> int:
+    def resolve(atom: Atom, binding: dict[str, str], where: str, filename: str) -> int:
+        """The fact ``atom`` names under ``binding``; an error at the atom in
+        ``filename``, the file that holds it, if no such fact exists."""
         args = tuple(binding.get(a, a) for a in atom.args)
         key = _atom_key(atom.pred, args)
         idx = fact_ids.get(key)
         if idx is None:
             raise UndeclaredNameError(f"atom {key} in {where} is not type-consistent",
-                                      problem.filename, *pos)
+                                      filename, *atom.pos)
         return idx
 
     actions: list[GroundAction] = []
     for schema in domain.schemas:
+        where = f"action {schema.name}"
         pools = [_candidates(objects, p.type, parents) for p in schema.params]
         names = [p.name for p in schema.params]
         for combo in product(*pools):
@@ -122,17 +124,15 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
                     break
             if not ok:
                 continue
-            pre = frozenset(resolve(a, binding, f"action {schema.name}") for a in schema.precond)
-            add = frozenset(resolve(a, binding, f"action {schema.name}") for a in schema.add)
-            dele = frozenset(resolve(a, binding, f"action {schema.name}") for a in schema.delete)
+            pre = frozenset(resolve(a, binding, where, domain.filename) for a in schema.precond)
+            add = frozenset(resolve(a, binding, where, domain.filename) for a in schema.add)
+            dele = frozenset(resolve(a, binding, where, domain.filename) for a in schema.delete)
             name = " ".join((schema.name,) + combo)
             # add wins over delete (PDDL semantics); keeps add/delete disjoint
             actions.append(GroundAction(len(actions), name, pre, add, dele - add))
 
-    init = frozenset(resolve(a, {}, ":init", pos)
-                     for a, pos in positioned(problem.init, problem.init_pos))
-    goal = frozenset(resolve(a, {}, ":goal", pos)
-                     for a, pos in positioned(problem.goal, problem.goal_pos))
+    init = frozenset(resolve(a, {}, ":init", problem.filename) for a in problem.init)
+    goal = frozenset(resolve(a, {}, ":goal", problem.filename) for a in problem.goal)
 
     return GroundTask(domain.name, problem.name, tuple(fact_names), tuple(actions),
                       init, goal, fact_ids)

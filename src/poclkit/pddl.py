@@ -9,8 +9,7 @@ grounding. Errors carry ``file:line:col`` positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import Optional
+from itertools import chain
 
 SUPPORTED_REQUIREMENTS = frozenset({":strips", ":typing", ":equality"})
 ROOT_TYPE = "object"
@@ -42,10 +41,15 @@ class UndeclaredNameError(PddlError):
 
 # ── AST ──────────────────────────────────────────────────────────────────────
 
+Position = tuple[int, int]    # (line, col) in the source text; (0, 0) if none
+
+
 @dataclass(frozen=True)
 class TypedName:
     name: str
     type: str = ROOT_TYPE
+    pos: Position = field(default=(0, 0), compare=False, repr=False)        # of the name
+    type_pos: Position = field(default=(0, 0), compare=False, repr=False)   # of a written type
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,7 @@ class Atom:
     """Predicate applied to arguments (variables or object names)."""
     pred: str
     args: tuple[str, ...]
+    pos: Position = field(default=(0, 0), compare=False, repr=False)   # of its "("
 
     def __str__(self) -> str:
         return "(" + " ".join((self.pred,) + self.args) + ")"
@@ -84,6 +89,7 @@ class DomainAst:
     predicates: tuple[tuple[str, tuple[TypedName, ...]], ...]
     constants: tuple[TypedName, ...]
     schemas: tuple[ActionSchema, ...]
+    filename: str = field(default="<domain>", compare=False, repr=False)   # where it was parsed from
 
     def type_parents(self) -> dict[str, str]:
         parents = {ROOT_TYPE: ROOT_TYPE}
@@ -97,9 +103,6 @@ class DomainAst:
         return set(parents) | set(parents.values())
 
 
-Position = tuple[int, int]    # (line, col) in the source text
-
-
 @dataclass(frozen=True)
 class ProblemAst:
     name: str
@@ -108,11 +111,6 @@ class ProblemAst:
     init: tuple[Atom, ...]   # source order preserved
     goal: tuple[Atom, ...]
     filename: str = field(default="<problem>", compare=False)   # where it was parsed from
-    # where each object, :init atom and :goal atom was parsed from, in the
-    # order of ``objects``, ``init`` and ``goal``; empty for an AST built in code
-    object_pos: tuple[Position, ...] = field(default=(), compare=False, repr=False)
-    init_pos: tuple[Position, ...] = field(default=(), compare=False, repr=False)
-    goal_pos: tuple[Position, ...] = field(default=(), compare=False, repr=False)
 
 
 # ── Tokenizer / s-expression reader ──────────────────────────────────────────
@@ -213,12 +211,8 @@ def _word_at(node: _Node, i: int, what: str, filename: str) -> _Token:
     return _expect_word(node.items[i], what, filename)
 
 
-def _parse_typed_list(items: list, filename: str,
-                      type_tokens: Optional[list[_Token]] = None,
-                      name_tokens: Optional[list[_Token]] = None) -> tuple[TypedName, ...]:
-    """Parse ``n1 n2 - type n3 ...``; names without a type get ``object``.
-    Each type token read is appended to ``type_tokens`` if given, and each
-    name token, in the order of the names returned, to ``name_tokens``."""
+def _parse_typed_list(items: list, filename: str) -> tuple[TypedName, ...]:
+    """Parse ``n1 n2 - type n3 ...``; names without a type get ``object``."""
     out: list[TypedName] = []
     pending: list[_Token] = []
     i = 0
@@ -230,17 +224,14 @@ def _parse_typed_list(items: list, filename: str,
             if i + 1 >= len(items):
                 raise ParseError("missing type after '-'", filename, tok.line, tok.col)
             ty = _expect_word(items[i + 1], "a type name", filename)
-            if type_tokens is not None:
-                type_tokens.append(ty)
-            out.extend(TypedName(p.value, ty.value) for p in pending)
+            out.extend(TypedName(p.value, ty.value, (p.line, p.col), (ty.line, ty.col))
+                       for p in pending)
             pending = []
             i += 2
         else:
             pending.append(tok)
-            if name_tokens is not None:
-                name_tokens.append(tok)
             i += 1
-    out.extend(TypedName(p.value, ROOT_TYPE) for p in pending)
+    out.extend(TypedName(p.value, ROOT_TYPE, (p.line, p.col)) for p in pending)
     return tuple(out)
 
 
@@ -250,7 +241,7 @@ def _parse_atom(node, filename: str) -> Atom:
         raise ParseError("expected an atom", filename, line, col)
     head = _expect_word(node.items[0], "a predicate name", filename)
     args = tuple(_expect_word(a, "an argument", filename).value for a in node.items[1:])
-    return Atom(head.value, args)
+    return Atom(head.value, args, (node.line, node.col))
 
 
 def _conjunction(node: _Node, filename: str) -> list[_Node]:
@@ -319,8 +310,7 @@ def _requirements(section: _Node, filename: str) -> tuple[str, ...]:
     return tuple(reqs)
 
 
-def _parse_action(node: _Node, arity: dict[str, int], filename: str,
-                  type_tokens: list[_Token]) -> ActionSchema:
+def _parse_action(node: _Node, arity: dict[str, int], filename: str) -> ActionSchema:
     items = node.items
     name = _word_at(node, 1, "an action name", filename).value
     sections: dict[str, object] = {}
@@ -341,27 +331,23 @@ def _parse_action(node: _Node, arity: dict[str, int], filename: str,
         i += 2
 
     params_node = sections.get(":parameters")
-    param_tokens: list[_Token] = []
-    params = _parse_typed_list(params_node.items, filename, type_tokens, param_tokens) \
-        if params_node is not None else ()
+    params = _parse_typed_list(params_node.items, filename) if params_node is not None else ()
     seen = set()
-    for tok in param_tokens:
-        if tok.value in seen:
-            raise ParseError(f"duplicate parameter {tok.value} in action {name}",
-                             filename, tok.line, tok.col)
-        seen.add(tok.value)
+    for p in params:
+        if p.name in seen:
+            raise ParseError(f"duplicate parameter {p.name} in action {name}", filename, *p.pos)
+        seen.add(p.name)
 
-    def check_atom(atom: Atom, where: _Node):
+    def check_atom(atom: Atom):
         if atom.pred not in arity:
-            raise UndeclaredNameError(f"undeclared predicate {atom.pred}",
-                                      filename, where.line, where.col)
+            raise UndeclaredNameError(f"undeclared predicate {atom.pred}", filename, *atom.pos)
         if len(atom.args) != arity[atom.pred]:
             raise ParseError(f"predicate {atom.pred} expects {arity[atom.pred]} arguments",
-                             filename, where.line, where.col)
+                             filename, *atom.pos)
         for arg in atom.args:
             if arg.startswith("?") and arg not in seen:
                 raise UndeclaredNameError(f"variable {arg} is not a parameter of {name}",
-                                          filename, where.line, where.col)
+                                          filename, *atom.pos)
 
     precond: list[Atom] = []
     eqs: list[EqConstraint] = []
@@ -383,7 +369,7 @@ def _parse_action(node: _Node, arity: dict[str, int], filename: str,
                                      filename, f.line, f.col)
             else:
                 a = _parse_atom(f, filename)
-                check_atom(a, f)
+                check_atom(a)
                 precond.append(a)
 
     add: list[Atom] = []
@@ -399,11 +385,11 @@ def _parse_action(node: _Node, arity: dict[str, int], filename: str,
                 if not isinstance(inner, _Node):
                     raise ParseError("malformed (not ...) effect", filename, f.line, f.col)
                 a = _parse_atom(inner, filename)
-                check_atom(a, inner)
+                check_atom(a)
                 delete.append(a)
             else:
                 a = _parse_atom(f, filename)
-                check_atom(a, f)
+                check_atom(a)
                 add.append(a)
 
     return ActionSchema(name, params, tuple(precond), tuple(eqs), tuple(add), tuple(delete))
@@ -422,7 +408,6 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
     predicates: list[tuple[str, tuple[TypedName, ...]]] = []
     arity: dict[str, int] = {}
     schemas: list[ActionSchema] = []
-    type_tokens: list[_Token] = []    # every type a constant or parameter names
 
     for key, section in sections:
         if key.value == ":requirements":
@@ -430,7 +415,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
         elif key.value == ":types":
             types = _parse_typed_list(section.items[1:], filename)
         elif key.value == ":constants":
-            constants = _parse_typed_list(section.items[1:], filename, type_tokens)
+            constants = _parse_typed_list(section.items[1:], filename)
         elif key.value == ":predicates":
             for p in section.items[1:]:
                 if not isinstance(p, _Node) or not p.items:
@@ -440,7 +425,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
                 if pname.value in arity:
                     raise ParseError(f"repeated predicate {pname.value} in domain {name}",
                                      filename, pname.line, pname.col)
-                pparams = _parse_typed_list(p.items[1:], filename, type_tokens)
+                pparams = _parse_typed_list(p.items[1:], filename)
                 predicates.append((pname.value, pparams))
                 arity[pname.value] = len(pparams)
         elif key.value == ":action":
@@ -448,16 +433,19 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
             if any(s.name == aname.value for s in schemas):
                 raise ParseError(f"repeated action {aname.value} in domain {name}",
                                  filename, aname.line, aname.col)
-            schemas.append(_parse_action(section, arity, filename, type_tokens))
+            schemas.append(_parse_action(section, arity, filename))
         else:
             raise ParseError(f"unsupported domain section {key.value}",
                              filename, key.line, key.col)
 
-    domain = DomainAst(name, requirements, types, tuple(predicates), constants, tuple(schemas))
+    domain = DomainAst(name, requirements, types, tuple(predicates), constants, tuple(schemas),
+                       filename)
     declared = domain.declared_types()
-    for tok in type_tokens:
-        if tok.value not in declared:
-            raise UndeclaredNameError(f"undeclared type {tok.value}", filename, tok.line, tok.col)
+    undeclared = [t for t in chain(constants, *(params for _, params in predicates),
+                                   *(s.params for s in schemas)) if t.type not in declared]
+    if undeclared:
+        first = min(undeclared, key=lambda t: t.type_pos)    # the first in source order
+        raise UndeclaredNameError(f"undeclared type {first.type}", filename, *first.type_pos)
     return domain
 
 
@@ -467,23 +455,19 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
 
     domain_name = ""
     objects: tuple[TypedName, ...] = ()
-    object_tokens: list[_Token] = []
     init: list[Atom] = []
     goal: list[Atom] = []
-    init_pos: list[Position] = []
-    goal_pos: list[Position] = []
 
     for key, section in sections:
         if key.value == ":domain":
             domain_name = _word_at(section, 1, "a domain name", filename).value
         elif key.value == ":objects":
-            objects = _parse_typed_list(section.items[1:], filename, name_tokens=object_tokens)
+            objects = _parse_typed_list(section.items[1:], filename)
         elif key.value == ":init":
             for f in section.items[1:]:
                 if not isinstance(f, _Node):
                     raise ParseError("expected an atom in :init", filename, f.line, f.col)
                 init.append(_parse_atom(f, filename))
-                init_pos.append((f.line, f.col))
         elif key.value == ":goal":
             if len(section.items) != 2 or not isinstance(section.items[1], _Node):
                 raise ParseError("expected one parenthesized formula in (:goal ...)",
@@ -494,7 +478,6 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
                     raise ParseError("negative goals are not supported (STRIPS)",
                                      filename, f.line, f.col)
                 goal.append(a)
-                goal_pos.append((f.line, f.col))
         elif key.value == ":requirements":
             _requirements(section, filename)
         else:
@@ -503,14 +486,7 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
 
     if not domain_name:
         raise ParseError("problem is missing (:domain ...)", filename, root.line, root.col)
-    return ProblemAst(name, domain_name, objects, tuple(init), tuple(goal), filename,
-                      tuple((t.line, t.col) for t in object_tokens), tuple(init_pos),
-                      tuple(goal_pos))
-
-
-def positioned(items: tuple, positions: tuple[Position, ...]) -> list[tuple[object, Position]]:
-    """``items`` paired with their positions; (0, 0) where none was kept."""
-    return list(zip(items, chain(positions, repeat((0, 0)))))
+    return ProblemAst(name, domain_name, objects, tuple(init), tuple(goal), filename)
 
 
 def check_problem(domain: DomainAst, problem: ProblemAst) -> None:
@@ -521,32 +497,29 @@ def check_problem(domain: DomainAst, problem: ProblemAst) -> None:
         raise UndeclaredNameError(
             f"problem declares domain {problem.domain_name}, expected {domain.name}", filename)
     declared = domain.declared_types()
-    objects = positioned(problem.objects, problem.object_pos)
-    for o, (line, col) in objects:
+    for o in problem.objects:
         if o.type not in declared:
             raise UndeclaredNameError(f"undeclared type {o.type} of object {o.name}",
-                                      filename, line, col)
-    known: set[str] = set()
-    for n, (line, col) in [(c.name, (0, 0)) for c in domain.constants] + \
-            [(o.name, pos) for o, pos in objects]:
-        if n in known:
-            raise UndeclaredNameError(f"duplicate object name {n}", filename, line, col)
-        known.add(n)
+                                      filename, *o.pos)
+    known = {c.name for c in domain.constants}
+    for o in problem.objects:
+        if o.name in known:
+            raise UndeclaredNameError(f"duplicate object name {o.name}", filename, *o.pos)
+        known.add(o.name)
     arity = {p: len(params) for p, params in domain.predicates}
-    for where, atoms in (("init", positioned(problem.init, problem.init_pos)),
-                         ("goal", positioned(problem.goal, problem.goal_pos))):
-        for atom, (line, col) in atoms:
+    for where, atoms in (("init", problem.init), ("goal", problem.goal)):
+        for atom in atoms:
             if atom.pred not in arity:
                 raise UndeclaredNameError(f"undeclared predicate {atom.pred} in :{where}",
-                                          filename, line, col)
+                                          filename, *atom.pos)
             if len(atom.args) != arity[atom.pred]:
                 raise UndeclaredNameError(
                     f"predicate {atom.pred} expects {arity[atom.pred]} arguments in :{where}",
-                    filename, line, col)
+                    filename, *atom.pos)
             for a in atom.args:
                 if a not in known:
                     raise UndeclaredNameError(f"undeclared object {a} in :{where}",
-                                              filename, line, col)
+                                              filename, *atom.pos)
 
 
 # ── Pretty printing (round-trip support) ─────────────────────────────────────
