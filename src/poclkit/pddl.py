@@ -4,6 +4,13 @@ Supported requirements: ``:strips``, ``:typing``, ``:equality``. Everything
 else is rejected loudly. Preconditions must be positive literals, except for
 ``(= ...)`` / ``(not (= ...))`` constraints, which are compiled away during
 grounding. Errors carry ``file:line:col`` positions.
+
+Each record carries where it was read: an :class:`Atom` the position of its
+``(``, a :class:`TypedName` that of its name and of its written type, and a
+:class:`DomainAst` or :class:`ProblemAst` its file name. These fields are left
+out of equality and hashing, so records that differ only in where they were
+read are equal, and positions out of ``repr``; a record built in code has
+position ``(0, 0)``.
 """
 
 from __future__ import annotations
@@ -89,7 +96,7 @@ class DomainAst:
     predicates: tuple[tuple[str, tuple[TypedName, ...]], ...]
     constants: tuple[TypedName, ...]
     schemas: tuple[ActionSchema, ...]
-    filename: str = field(default="<domain>", compare=False, repr=False)   # where it was parsed from
+    filename: str = field(default="<domain>", compare=False, repr=False)   # where it was read
 
     def type_parents(self) -> dict[str, str]:
         parents = {ROOT_TYPE: ROOT_TYPE}
@@ -396,10 +403,10 @@ def _parse_action(node: _Node, arity: dict[str, int], filename: str) -> ActionSc
 
 
 def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
-    """Parse PDDL domain text into a :class:`DomainAst`. A repeated predicate
-    or action name is a ParseError at the second one; a constant, predicate
-    parameter or action parameter of a type that is not declared is an
-    UndeclaredNameError at the type."""
+    """Parse PDDL domain text into a :class:`DomainAst`. A repeated constant,
+    predicate or action name is a ParseError at the second one; a constant,
+    predicate parameter or action parameter of a type that is not declared is
+    an UndeclaredNameError at the first such type in the text."""
     name, _, sections = _read_define(text, filename, "domain")
 
     requirements: tuple[str, ...] = (":strips",)
@@ -416,6 +423,12 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
             types = _parse_typed_list(section.items[1:], filename)
         elif key.value == ":constants":
             constants = _parse_typed_list(section.items[1:], filename)
+            seen: set[str] = set()
+            for c in constants:
+                if c.name in seen:
+                    raise ParseError(f"repeated constant {c.name} in domain {name}",
+                                     filename, *c.pos)
+                seen.add(c.name)
         elif key.value == ":predicates":
             for p in section.items[1:]:
                 if not isinstance(p, _Node) or not p.items:
@@ -491,7 +504,8 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
 
 def check_problem(domain: DomainAst, problem: ProblemAst) -> None:
     """Validate a problem against its domain: names, arities, declared
-    objects. An error names the object or atom at fault at its position."""
+    objects. An error names the object or atom at fault at its position; an
+    object that repeats a constant or an earlier object is one."""
     filename = problem.filename
     if problem.domain_name != domain.name:
         raise UndeclaredNameError(

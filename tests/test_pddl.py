@@ -3,6 +3,7 @@ and a token-mutation fuzz of the fixtures."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from poclkit import cli
 from poclkit.grounding import ground
-from poclkit.pddl import (ParseError, PddlError, UndeclaredNameError,
+from poclkit.pddl import (ROOT_TYPE, ParseError, PddlError, ProblemAst, UndeclaredNameError,
                           UnsupportedRequirementError, domain_to_pddl, load_domain,
                           load_problem, parse_domain, parse_problem, problem_to_pddl)
 
@@ -122,6 +123,8 @@ MALFORMED = {
     "duplicate-parameter": (
         "domain", "(define (domain d) (:predicates (p ?x))\n  (:action a :parameters (?x ?y\n"
         " ?x) :effect (p ?x)))", (3, 2)),
+    # a repeated constant failed only in grounding, in the problem file at 0:0
+    "repeated-constant": ("domain", "(define (domain d)\n  (:constants c1 c2\n    c1))", (3, 5)),
 }
 
 
@@ -309,6 +312,66 @@ def test_undeclared_type_is_an_error_naming_it(tmp_path, capsys, case):
     assert capsys.readouterr().err == f"error: {where}\n"
 
 
+def _assert_input_error(tmp_path, capsys, domain_text: str, problem_text: str,
+                        error: type, where) -> None:
+    """Grounding the two texts, and ``pocl solve`` on them, fail with ``error``
+    reading ``where(domain_path, problem_path)``; the CLI exits 3."""
+    domain, problem = tmp_path / "d.pddl", tmp_path / "p.pddl"
+    domain.write_text(domain_text)
+    problem.write_text(problem_text)
+    message = where(domain, problem)
+    with pytest.raises(error) as err:
+        ground(load_domain(str(domain)), load_problem(str(problem)))
+    assert str(err.value) == message
+    assert cli.main(["solve", str(domain), str(problem)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_repeated_constant_is_an_error_at_the_repeat(tmp_path, capsys):
+    text = _typed_domain(constant="c1 c2 c1 - ball")
+    line = text.split("\n")[2]
+    col = line.index("c1", line.index("c1") + 1) + 1
+    _assert_input_error(tmp_path, capsys, text, TYPED_PROBLEM.format("r1 - room"), ParseError,
+                        lambda d, p: f"{d}:3:{col}: repeated constant c1 in domain t")
+
+
+@pytest.mark.parametrize("objects,name", [("r1 - room c - ball", "c"),
+                                          ("r1 - room b1 - ball b1 - ball", "b1")])
+def test_an_object_that_repeats_a_name_is_an_error_at_the_object(tmp_path, capsys,
+                                                                  objects, name):
+    problem = TYPED_PROBLEM.format(objects)
+    col = problem.rindex(f" {name} - ball") + 2
+    _assert_input_error(tmp_path, capsys, _typed_domain(), problem, UndeclaredNameError,
+                        lambda d, p: f"{p}:1:{col}: duplicate object name {name}")
+
+
+def test_a_type_inconsistent_action_atom_is_reported_in_the_domain(tmp_path, capsys):
+    # ?b ranges over every object, and (at r1 r1) is no fact; this once named
+    # the problem file at 0:0
+    text = ("(define (domain t) (:requirements :strips :typing)\n"
+            "  (:types ball room)\n"
+            "  (:predicates (at ?b - ball ?r - room))\n"
+            "  (:action go :parameters (?b - object ?r - room)\n"
+            "     :effect (at ?b ?r)))")
+    col = text.split("\n")[4].index("(at") + 1
+    problem = ("(define (problem t1) (:domain t) (:objects b1 - ball r1 - room) (:init)"
+               " (:goal (and)))")
+    _assert_input_error(
+        tmp_path, capsys, text, problem, UndeclaredNameError,
+        lambda d, p: f"{d}:5:{col}: atom (at r1 r1) in action go is not type-consistent")
+
+
+def test_the_first_undeclared_type_in_the_text_is_reported():
+    # the constants come last in the text, so source order is not record order
+    text = ("(define (domain t) (:types ball) (:predicates (at ?b))\n"
+            "  (:action go :parameters (?b - box) :effect (at ?b))\n"
+            "  (:constants c - crate))")
+    with pytest.raises(UndeclaredNameError) as err:
+        parse_domain(text, "t.pddl")
+    col = text.split("\n")[1].index("box") + 1
+    assert str(err.value) == f"t.pddl:2:{col}: undeclared type box"
+
+
 def test_a_parent_type_is_declared():
     ast = parse_domain("(define (domain t) (:types ball - thing box)\n"
                        "  (:constants c - thing d - object))")
@@ -468,3 +531,53 @@ def test_fuzzed_pddl_raises_only_pddl_errors(name, edits):
         _parse_and_ground(name, _mutate(_fixture_tokens(name), edits))
     except PddlError:
         pass
+
+
+# ── Source positions ─────────────────────────────────────────────────────────
+
+def _records(ast) -> tuple[list, list]:
+    """The atoms and typed names a parsed domain or problem holds."""
+    if isinstance(ast, ProblemAst):
+        return list(ast.init + ast.goal), list(ast.objects)
+    atoms = [a for s in ast.schemas for a in s.precond + s.add + s.delete]
+    names = list(ast.types + ast.constants) + [n for _, params in ast.predicates
+                                                for n in params]
+    return atoms, names + [p for s in ast.schemas for p in s.params]
+
+
+def _reads(lines: list[str], pos: tuple[int, int], word: str, opener: str = "") -> bool:
+    """Whether the text at ``pos`` is ``opener`` and then the token ``word``."""
+    line, col = pos
+    rest = lines[line - 1][col - 1:].lower()
+    return re.match(rf"{opener}{re.escape(word)}(?=[\s();]|$)", rest) is not None
+
+
+def _load(name: str):
+    return (load_problem if "-" in name else load_domain)(fixture_path(name))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_every_record_carries_its_source_position(name):
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    ast = _load(name)
+    atoms, names = _records(ast)
+    assert atoms and names
+    for atom in atoms:
+        assert _reads(lines, atom.pos, atom.pred, opener=r"\(\s*"), atom
+    for n in names:
+        assert _reads(lines, n.pos, n.name), n
+        if n.type_pos == (0, 0):
+            assert n.type == ROOT_TYPE, n
+        else:
+            assert _reads(lines, n.type_pos, n.type), n
+    # the same text two lines down: every position moves, no record changes
+    moved = (parse_problem if "-" in name else parse_domain)("\n\n" + text, "moved.pddl")
+    assert moved == ast and hash(moved) == hash(ast)
+    moved_atoms, moved_names = _records(moved)
+    assert [a.pos for a in moved_atoms] == [(a.pos[0] + 2, a.pos[1]) for a in atoms]
+    assert [n.pos for n in moved_names] == [(n.pos[0] + 2, n.pos[1]) for n in names]
+    for record in atoms + names:
+        unplaced = dataclasses.replace(record, pos=(0, 0))
+        assert unplaced == record and hash(unplaced) == hash(record)
