@@ -5,14 +5,16 @@
 
 Each checkout's ``src/poclkit`` is loaded under its own package name
 (``poclkit_a``, ``poclkit_b``) into this one process, and its problems are
-read from its own ``tests/fixtures``. Parsing, grounding and cost tables are
-done once per side, outside the timing. A round runs the workload's searches
-once on each side, in alternating order (A then B, then B then A), and times
-each side in CPU seconds after a garbage collection; so the two sides share
-the host's drift. Every round asserts that both sides give identical
-(outcome, generated, visited, plan length) for every search, and for
-``learn`` identical dataset draws, instances (features, target and the seed
-plan's action count) and model weights.
+read from its own ``tests/fixtures``. At start the tool checks that both sides
+ground identical tasks: facts, actions (name, pre, add, delete), init and
+goal. A round sets up the workload's tasks (parse, ground and cost tables)
+once on each side, then runs its searches once on each side, each in
+alternating order (A then B, then B then A), and times each side in CPU
+seconds after a garbage collection; so the two sides share the host's drift.
+The searches use the tasks set up at start. Every round checks that both
+sides give identical (outcome, generated, visited, plan length) for every
+search, and for ``learn`` identical dataset draws, instances (features,
+target and the seed plan's action count) and model weights.
 
 Workloads, as in the benchmark of the same names but calling ``gbfs``
 directly (no report, no plan files); their problems, evaluators, node budgets
@@ -27,7 +29,8 @@ and seeds are imported from this checkout's ``perfbench/workloads.py``:
   ``model:FILE:enhanced`` with its own ``bench.build_evaluator``.
 
 Every search is mw-loc. The output is the min and median CPU seconds per
-side and the ratio B/A of the medians and of each round.
+side and the ratio B/A of the medians and of each round, for the searches
+and for the set-up.
 """
 
 from __future__ import annotations
@@ -85,11 +88,22 @@ class Side:
             problems = list(TRAIN_PROBLEMS) + [LEARN_TEST_PROBLEM]
         else:
             problems = [p for group in SUITE_PROBLEMS.values() for p in group]
-        self.tasks = {}
-        for name in problems:
-            domain = os.path.join(fixtures, name.split("-")[0] + ".pddl")
-            task = self.grounding.load_task(domain, os.path.join(fixtures, name + ".pddl"))
-            self.tasks[name] = (task, self.heuristics.build_tables(task))
+        self.files = {name: (os.path.join(fixtures, name.split("-")[0] + ".pddl"),
+                             os.path.join(fixtures, name + ".pddl")) for name in problems}
+        self.tasks = self.set_up()
+
+    def set_up(self) -> dict:
+        """Each problem's grounded task and cost tables, read from its files."""
+        tasks = {}
+        for name, (domain, problem) in self.files.items():
+            task = self.grounding.load_task(domain, problem)
+            tasks[name] = (task, self.heuristics.build_tables(task))
+        return tasks
+
+    def grounded(self) -> list:
+        """What both sides must ground alike."""
+        return [(name, task.facts, [(a.name, a.pre, a.add, a.delete) for a in task.actions],
+                 task.init, task.goal) for name, (task, _) in self.tasks.items()]
 
     def _search(self, name: str, evaluator) -> tuple:
         task, tables = self.tasks[name]
@@ -126,11 +140,25 @@ class Side:
         return out
 
 
-def timed(side: Side) -> tuple[float, list]:
+def timed(work) -> tuple[float, object]:
+    """CPU seconds of ``work()`` after a garbage collection, and its result."""
     gc.collect()
     start = time.process_time()
-    out = side.run()
+    out = work()
     return time.process_time() - start, out
+
+
+def first_difference(a: list, b: list) -> str:
+    pairs = [(x, y) for x, y in zip(a, b) if x != y]
+    return f"A {pairs[0][0]} vs B {pairs[0][1]}" if pairs else "in length"
+
+
+def ratios(a: list[float], b: list[float]) -> str:
+    """B/A of the medians of two sides' times, and of each round."""
+    per_round = sorted(y / x for x, y in zip(a, b))
+    return (f"B/A of medians {statistics.median(b) / statistics.median(a):.3f}; "
+            f"per round min {per_round[0]:.3f} median {statistics.median(per_round):.3f} "
+            f"max {per_round[-1]:.3f}; B faster in {sum(r < 1 for r in per_round)}/{len(a)}")
 
 
 def main(argv=None) -> int:
@@ -145,28 +173,37 @@ def main(argv=None) -> int:
 
     sides = {"A": Side(args.base, "poclkit_a", args.workload),
              "B": Side(args.changed, "poclkit_b", args.workload)}
+    grounded_a, grounded_b = sides["A"].grounded(), sides["B"].grounded()
+    if grounded_a != grounded_b:
+        print(f"the sides ground different tasks: {first_difference(grounded_a, grounded_b)}",
+              file=sys.stderr)
+        return 1
     times: dict[str, list[float]] = {"A": [], "B": []}
+    setup: dict[str, list[float]] = {"A": [], "B": []}
     for rnd in range(args.rounds):
+        order = ("A", "B") if rnd % 2 == 0 else ("B", "A")
+        for label in order:
+            setup[label].append(timed(sides[label].set_up)[0])
         outputs = {}
-        for label in ("A", "B") if rnd % 2 == 0 else ("B", "A"):
-            seconds, outputs[label] = timed(sides[label])
+        for label in order:
+            seconds, outputs[label] = timed(sides[label].run)
             times[label].append(seconds)
         if outputs["A"] != outputs["B"]:
-            pairs = [(a, b) for a, b in zip(outputs["A"], outputs["B"]) if a != b]
-            where = f"A {pairs[0][0]} vs B {pairs[0][1]}" if pairs else "in length"
-            print(f"round {rnd}: the sides differ: {where}", file=sys.stderr)
+            print(f"round {rnd}: the sides differ: {first_difference(outputs['A'], outputs['B'])}",
+                  file=sys.stderr)
             return 1
         print(f"round {rnd}: A {times['A'][-1]:.3f} s  B {times['B'][-1]:.3f} s  "
-              f"B/A {times['B'][-1] / times['A'][-1]:.3f}")
+              f"B/A {times['B'][-1] / times['A'][-1]:.3f};  set-up A {setup['A'][-1]:.4f} s  "
+              f"B {setup['B'][-1]:.4f} s  B/A {setup['B'][-1] / setup['A'][-1]:.3f}")
 
-    ratios = sorted(b / a for a, b in zip(times["A"], times["B"]))
-    print(f"workload {args.workload}, {args.rounds} rounds, CPU seconds; outputs identical")
+    print(f"workload {args.workload}, {args.rounds} rounds, CPU seconds; outputs identical; "
+          "grounded tasks identical")
     for label, path in (("A", args.base), ("B", args.changed)):
         print(f"  {label} min {min(times[label]):.3f}  median "
-              f"{statistics.median(times[label]):.3f}  ({path})")
-    print(f"  B/A of medians {statistics.median(times['B']) / statistics.median(times['A']):.3f}; "
-          f"per round min {ratios[0]:.3f} median {statistics.median(ratios):.3f} "
-          f"max {ratios[-1]:.3f}; B faster in {sum(r < 1 for r in ratios)}/{len(ratios)}")
+              f"{statistics.median(times[label]):.3f}  set-up min {min(setup[label]):.4f}  "
+              f"median {statistics.median(setup[label]):.4f}  ({path})")
+    print(f"  search {ratios(times['A'], times['B'])}")
+    print(f"  set-up {ratios(setup['A'], setup['B'])}")
     return 0
 
 
