@@ -552,16 +552,13 @@ def _reads(lines: list[str], pos: tuple[int, int], word: str, opener: str = "") 
     return re.match(rf"{opener}{re.escape(word)}(?=[\s();]|$)", rest) is not None
 
 
-def _load(name: str):
-    return (load_problem if "-" in name else load_domain)(fixture_path(name))
-
-
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_every_record_carries_its_source_position(name):
     with open(fixture_path(name), encoding="utf-8") as fh:
         text = fh.read()
     lines = text.split("\n")
-    ast = _load(name)
+    parse = parse_problem if "-" in name else parse_domain    # problems are DOMAIN-...
+    ast = parse(text, fixture_path(name))
     atoms, names = _records(ast)
     assert atoms and names
     for atom in atoms:
@@ -573,7 +570,7 @@ def test_every_record_carries_its_source_position(name):
         else:
             assert _reads(lines, n.type_pos, n.type), n
     # the same text two lines down: every position moves, no record changes
-    moved = (parse_problem if "-" in name else parse_domain)("\n\n" + text, "moved.pddl")
+    moved = parse("\n\n" + text, "moved.pddl")
     assert moved == ast and hash(moved) == hash(ast)
     moved_atoms, moved_names = _records(moved)
     assert [a.pos for a in moved_atoms] == [(a.pos[0] + 2, a.pos[1]) for a in atoms]
