@@ -99,7 +99,6 @@ class SuiteConfig:
     max_generated: int = SearchLimits.max_generated
     wall_time: float = SearchLimits.wall_time
     out_dir: str = "bench-out"
-    rng_seed: int = 0
     workers: int = 0                 # 0 = logical cores
     max_copies: Optional[int] = MAX_COPIES
 
@@ -112,7 +111,6 @@ SETTINGS = {
     "flaws": ("strategy", str, lambda s: s in STRATEGIES, " or ".join(STRATEGIES)),
     "max_nodes": ("max_generated", int, lambda n: n > 0, "a positive integer"),
     "timeout": ("wall_time", float, lambda t: t > 0, "a positive number"),
-    "seed": ("rng_seed", int, lambda n: True, "an integer"),
     "workers": ("workers", int, lambda n: n >= 0,
                 "0 (one per logical core) or a positive integer"),
     "max_copies": ("max_copies", lambda v: None if v == "none" else int(v),

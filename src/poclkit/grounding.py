@@ -12,7 +12,7 @@ from functools import cached_property
 from itertools import product
 
 from .pddl import (ROOT_TYPE, Atom, DomainAst, ProblemAst, TypedName, UndeclaredNameError,
-                   check_problem)
+                   atom_text, check_problem)
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,6 @@ class GroundTask:
         return tuple(tuple(ids) for ids in by_fact)
 
 
-def _atom_key(pred: str, args: tuple[str, ...]) -> str:
-    return "(" + " ".join((pred,) + args) + ")" if args else f"({pred})"
-
-
 def _is_subtype(ty: str, ancestor: str, parents: dict[str, str]) -> bool:
     if ancestor == ROOT_TYPE:
         return True
@@ -84,7 +80,7 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
     fact_names: list[str] = []
 
     def intern(pred: str, args: tuple[str, ...]) -> int:
-        key = _atom_key(pred, args)
+        key = atom_text(pred, args)
         idx = fact_ids.get(key)
         if idx is None:
             idx = len(fact_names)
@@ -101,7 +97,7 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundTask:
         """The fact ``atom`` names under ``binding``; an error at the atom in
         ``filename``, the file that holds it, if no such fact exists."""
         args = tuple(binding.get(a, a) for a in atom.args)
-        key = _atom_key(atom.pred, args)
+        key = atom_text(atom.pred, args)
         idx = fact_ids.get(key)
         if idx is None:
             raise UndeclaredNameError(f"atom {key} in {where} is not type-consistent",

@@ -1,9 +1,9 @@
 """Parser for a STRIPS subset of PDDL.
 
 Supported requirements: ``:strips``, ``:typing``, ``:equality``. Everything
-else is rejected loudly. Preconditions must be positive literals, except for
-``(= ...)`` / ``(not (= ...))`` constraints, which are compiled away during
-grounding. Errors carry ``file:line:col`` positions.
+else is rejected loudly. Preconditions and goals must be positive literals,
+save a precondition's ``(= ...)`` / ``(not (= ...))``, which grounding
+compiles away. Errors carry ``file:line:col`` positions.
 
 Each record carries where it was read: an :class:`Atom` the position of its
 ``(``, a :class:`TypedName` that of its name and of its written type, and a
@@ -15,6 +15,7 @@ position ``(0, 0)``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -59,6 +60,11 @@ class TypedName:
     type_pos: Position = field(default=(0, 0), compare=False, repr=False)   # of a written type
 
 
+def atom_text(pred: str, args: tuple[str, ...]) -> str:
+    """``(pred arg ...)``: the text of an atom, and the name of a ground fact."""
+    return "(" + " ".join((pred,) + args) + ")"
+
+
 @dataclass(frozen=True)
 class Atom:
     """Predicate applied to arguments (variables or object names)."""
@@ -67,7 +73,7 @@ class Atom:
     pos: Position = field(default=(0, 0), compare=False, repr=False)   # of its "("
 
     def __str__(self) -> str:
-        return "(" + " ".join((self.pred,) + self.args) + ")"
+        return atom_text(self.pred, self.args)
 
 
 @dataclass(frozen=True)
@@ -118,45 +124,20 @@ class ProblemAst:
     init: tuple[Atom, ...]   # source order preserved
     goal: tuple[Atom, ...]
     filename: str = field(default="<problem>", compare=False)   # where it was parsed from
+    domain_pos: Position = field(default=(0, 0), compare=False, repr=False)   # of its domain name
 
 
-# ── Tokenizer / s-expression reader ──────────────────────────────────────────
+# ── S-expression reader ──────────────────────────────────────────────────────
+
+# a newline, a comment, a parenthesis or a word; the " \t\r" between them is skipped
+_LEXEME = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
+
 
 @dataclass
 class _Token:
     value: str
     line: int
     col: int
-
-
-def _tokenize(text: str, filename: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            tokens.append(_Token(text[i:j].lower(), line, col))
-            col += j - i
-            i = j
-    return tokens
 
 
 class _Node:
@@ -169,40 +150,46 @@ class _Node:
         self.col = col
 
 
-def _read_sexpr(tokens: list[_Token], filename: str) -> _Node:
-    """One top-level form. Iterative, so nesting depth is bounded by memory only."""
-    if not tokens:
-        raise ParseError("unexpected end of input", filename, 1, 1)
-    first = tokens[0]
-    if first.value == ")":
-        raise ParseError("unexpected ')'", filename, first.line, first.col)
-    if first.value != "(":
-        if len(tokens) > 1:
-            raise ParseError("trailing content after top-level form", filename,
-                             tokens[1].line, tokens[1].col)
-        raise ParseError("expected a parenthesized form", filename, first.line, first.col)
-    open_lists: list[tuple[_Token, list]] = [(first, [])]   # innermost last
-    pos = 1
-    while True:
-        if pos >= len(tokens):
-            tok = open_lists[-1][0]
-            raise ParseError("missing closing parenthesis", filename, tok.line, tok.col)
-        tok = tokens[pos]
-        pos += 1
-        if tok.value == "(":
-            open_lists.append((tok, []))
-        elif tok.value == ")":
-            opener, items = open_lists.pop()
-            node = _Node(items, opener.line, opener.col)
-            if not open_lists:
-                break
-            open_lists[-1][1].append(node)
+def _read_sexpr(text: str, filename: str) -> _Node:
+    """The one top-level form of ``text``, read in one pass. Iterative, so
+    nesting depth is bounded by memory only."""
+    top = _Node([], 1, 1)       # holds the top-level form once it is read
+    open_lists = [top]          # innermost last
+    line, line_start = 1, 0
+    for match in _LEXEME.finditer(text):
+        lexeme = match.group()
+        if lexeme == "\n":
+            line += 1
+            line_start = match.end()
+            continue
+        if lexeme[0] == ";":
+            continue
+        col = match.start() - line_start + 1
+        if top.items and len(open_lists) == 1:
+            raise ParseError("trailing content after top-level form", filename, line, col)
+        if lexeme == "(":
+            node = _Node([], line, col)
+            open_lists[-1].items.append(node)
+            open_lists.append(node)
+        elif lexeme == ")":
+            if len(open_lists) == 1:
+                raise ParseError("unexpected ')'", filename, line, col)
+            open_lists.pop()
         else:
-            open_lists[-1][1].append(tok)
-    if pos != len(tokens):
-        extra = tokens[pos]
-        raise ParseError("trailing content after top-level form", filename, extra.line, extra.col)
-    return node
+            open_lists[-1].items.append(_Token(lexeme.lower(), line, col))
+    if len(open_lists) > 1:
+        raise ParseError("missing closing parenthesis", filename,
+                         open_lists[-1].line, open_lists[-1].col)
+    if not top.items:
+        raise ParseError("unexpected end of input", filename, 1, 1)
+    form = top.items[0]
+    if isinstance(form, _Token):
+        raise ParseError("expected a parenthesized form", filename, form.line, form.col)
+    return form
+
+
+def _is_word(item, value: str) -> bool:
+    return isinstance(item, _Token) and item.value == value
 
 
 def _expect_word(node, what: str, filename: str) -> _Token:
@@ -244,32 +231,57 @@ def _parse_typed_list(items: list, filename: str) -> tuple[TypedName, ...]:
 
 def _parse_atom(node, filename: str) -> Atom:
     if not isinstance(node, _Node) or not node.items:
-        line, col = (node.line, node.col)
-        raise ParseError("expected an atom", filename, line, col)
+        raise ParseError("expected an atom", filename, node.line, node.col)
     head = _expect_word(node.items[0], "a predicate name", filename)
     args = tuple(_expect_word(a, "an argument", filename).value for a in node.items[1:])
     return Atom(head.value, args, (node.line, node.col))
 
 
-def _conjunction(node: _Node, filename: str) -> list[_Node]:
-    """Flatten (and f1 f2 ...) to [f1, f2, ...]; a bare formula is a singleton."""
-    if node.items and isinstance(node.items[0], _Token) and node.items[0].value == "and":
-        out = []
-        for sub in node.items[1:]:
+def _literals(node: _Node, filename: str, negative: str = "", inequalities: bool = False):
+    """Yield ``(positive, atom)`` for each literal of the formula ``node``:
+    ``(and L ...)`` or one literal L, where an empty ``()`` is none. A literal
+    is an atom, ``(= a b)`` included as an atom of predicate ``=``, or
+    ``(not A)``, whose atom comes negative. ``negative``, if given, is the
+    error a ``(not ...)`` raises at its ``(``; ``inequalities`` exempts
+    ``(not (= a b))`` from it."""
+    formulas = [node]
+    if node.items and _is_word(node.items[0], "and"):
+        formulas = node.items[1:]
+        for sub in formulas:
             if not isinstance(sub, _Node):
                 raise ParseError("expected a formula inside (and ...)", filename, sub.line, sub.col)
-            out.append(sub)
-        return out
-    if not node.items:
-        return []   # () is the empty conjunction
-    return [node]
+    for f in formulas:
+        if not f.items:
+            continue
+        if _expect_word(f.items[0], "a formula head", filename).value != "not":
+            yield True, _parse_atom(f, filename)
+            continue
+        body = f.items[1] if len(f.items) > 1 else None
+        if negative and not (inequalities and isinstance(body, _Node) and body.items
+                             and _is_word(body.items[0], "=")):
+            raise ParseError(negative, filename, f.line, f.col)
+        if not isinstance(body, _Node):
+            raise ParseError("malformed (not ...) effect", filename, f.line, f.col)
+        yield False, _parse_atom(body, filename)
 
 
-def _parse_eq(node: _Node, equal: bool, filename: str) -> EqConstraint:
-    atom = _parse_atom(node, filename)
-    if len(atom.args) != 2:
-        raise ParseError("(= ...) takes two arguments", filename, node.line, node.col)
-    return EqConstraint(atom.args[0], atom.args[1], equal)
+def _check_atom(atom: Atom, arity: dict[str, int], scope: set[str], where: str,
+                filename: str) -> None:
+    """An UndeclaredNameError at ``atom``, its message ending ``in WHERE``,
+    unless ``atom`` applies a predicate of ``arity`` to as many names in
+    ``scope`` as it takes. In an action (``where`` is ``action NAME``) a name
+    that begins with ``?`` is a variable."""
+    if atom.pred not in arity:
+        raise UndeclaredNameError(f"undeclared predicate {atom.pred} in {where}",
+                                  filename, *atom.pos)
+    if len(atom.args) != arity[atom.pred]:
+        raise UndeclaredNameError(
+            f"predicate {atom.pred} expects {arity[atom.pred]} arguments in {where}",
+            filename, *atom.pos)
+    for arg in atom.args:
+        if arg not in scope:
+            noun = "variable" if arg[0] == "?" and where.startswith("action ") else "object"
+            raise UndeclaredNameError(f"undeclared {noun} {arg} in {where}", filename, *atom.pos)
 
 
 # ── Domain / problem parsing ─────────────────────────────────────────────────
@@ -279,9 +291,9 @@ def _read_define(text: str, filename: str, kind: str):
     ``(keyword, section)`` pairs, checked one at a time as they are taken.
     Only ``:action`` may appear more than once; a second occurrence of any
     other section is a ParseError at its keyword."""
-    root = _read_sexpr(_tokenize(text, filename), filename)
+    root = _read_sexpr(text, filename)
     items = root.items
-    if len(items) < 2 or not (isinstance(items[0], _Token) and items[0].value == "define"):
+    if len(items) < 2 or not _is_word(items[0], "define"):
         raise ParseError(f"expected (define ({kind} ...) ...)", filename, root.line, root.col)
     head = items[1]
     if not (isinstance(head, _Node) and len(head.items) == 2
@@ -317,12 +329,12 @@ def _requirements(section: _Node, filename: str) -> tuple[str, ...]:
     return tuple(reqs)
 
 
-def _parse_action(node: _Node, arity: dict[str, int], filename: str) -> ActionSchema:
+def _parse_action(node: _Node, arity: dict[str, int], constants: set[str],
+                  filename: str) -> ActionSchema:
     items = node.items
     name = _word_at(node, 1, "an action name", filename).value
-    sections: dict[str, object] = {}
-    i = 2
-    while i < len(items):
+    sections: dict[str, _Node] = {}
+    for i in range(2, len(items), 2):
         key = _expect_word(items[i], "an action section keyword", filename)
         if key.value not in (":parameters", ":precondition", ":effect"):
             raise ParseError(f"unknown action section {key.value}", filename, key.line, key.col)
@@ -335,69 +347,36 @@ def _parse_action(node: _Node, arity: dict[str, int], filename: str) -> ActionSc
             raise ParseError(f"expected a parenthesized body for {key.value}", filename,
                              key.line, key.col)
         sections[key.value] = items[i + 1]
-        i += 2
 
-    params_node = sections.get(":parameters")
-    params = _parse_typed_list(params_node.items, filename) if params_node is not None else ()
+    absent = _Node([], node.line, node.col)     # a section left out reads as ()
+    params = _parse_typed_list(sections.get(":parameters", absent).items, filename)
     seen = set()
     for p in params:
         if p.name in seen:
             raise ParseError(f"duplicate parameter {p.name} in action {name}", filename, *p.pos)
         seen.add(p.name)
 
-    def check_atom(atom: Atom):
-        if atom.pred not in arity:
-            raise UndeclaredNameError(f"undeclared predicate {atom.pred}", filename, *atom.pos)
-        if len(atom.args) != arity[atom.pred]:
-            raise ParseError(f"predicate {atom.pred} expects {arity[atom.pred]} arguments",
-                             filename, *atom.pos)
-        for arg in atom.args:
-            if arg.startswith("?") and arg not in seen:
-                raise UndeclaredNameError(f"variable {arg} is not a parameter of {name}",
-                                          filename, *atom.pos)
-
+    scope = seen | constants
+    where = f"action {name}"
     precond: list[Atom] = []
     eqs: list[EqConstraint] = []
-    pre_node = sections.get(":precondition")
-    if pre_node is not None:
-        for f in _conjunction(pre_node, filename):
-            head = _expect_word(f.items[0], "a formula head", filename) if f.items else None
-            if head is None:
-                continue
-            if head.value == "=":
-                eqs.append(_parse_eq(f, True, filename))
-            elif head.value == "not":
-                inner = f.items[1] if len(f.items) > 1 else None
-                if isinstance(inner, _Node) and inner.items and \
-                        isinstance(inner.items[0], _Token) and inner.items[0].value == "=":
-                    eqs.append(_parse_eq(inner, False, filename))
-                else:
-                    raise ParseError("negative preconditions are not supported (STRIPS)",
-                                     filename, f.line, f.col)
-            else:
-                a = _parse_atom(f, filename)
-                check_atom(a)
-                precond.append(a)
+    for positive, atom in _literals(sections.get(":precondition", absent), filename,
+                                    "negative preconditions are not supported (STRIPS)",
+                                    inequalities=True):
+        if atom.pred != "=":
+            _check_atom(atom, arity, scope, where, filename)
+            precond.append(atom)
+        elif len(atom.args) == 2:
+            _check_atom(atom, {"=": 2}, scope, where, filename)
+            eqs.append(EqConstraint(*atom.args, positive))
+        else:
+            raise ParseError("(= ...) takes two arguments", filename, *atom.pos)
 
     add: list[Atom] = []
     delete: list[Atom] = []
-    eff_node = sections.get(":effect")
-    if eff_node is not None:
-        for f in _conjunction(eff_node, filename):
-            head = _expect_word(f.items[0], "a formula head", filename) if f.items else None
-            if head is None:
-                continue
-            if head.value == "not":
-                inner = f.items[1] if len(f.items) > 1 else None
-                if not isinstance(inner, _Node):
-                    raise ParseError("malformed (not ...) effect", filename, f.line, f.col)
-                a = _parse_atom(inner, filename)
-                check_atom(a)
-                delete.append(a)
-            else:
-                a = _parse_atom(f, filename)
-                check_atom(a)
-                add.append(a)
+    for positive, atom in _literals(sections.get(":effect", absent), filename):
+        _check_atom(atom, arity, scope, where, filename)
+        (add if positive else delete).append(atom)
 
     return ActionSchema(name, params, tuple(precond), tuple(eqs), tuple(add), tuple(delete))
 
@@ -446,7 +425,8 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
             if any(s.name == aname.value for s in schemas):
                 raise ParseError(f"repeated action {aname.value} in domain {name}",
                                  filename, aname.line, aname.col)
-            schemas.append(_parse_action(section, arity, filename))
+            schemas.append(_parse_action(section, arity, {c.name for c in constants},
+                                         filename))
         else:
             raise ParseError(f"unsupported domain section {key.value}",
                              filename, key.line, key.col)
@@ -466,14 +446,15 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
     """Parse PDDL problem text into a :class:`ProblemAst` (atom order preserved)."""
     name, root, sections = _read_define(text, filename, "problem")
 
-    domain_name = ""
+    domain_name, domain_pos = "", (0, 0)
     objects: tuple[TypedName, ...] = ()
     init: list[Atom] = []
     goal: list[Atom] = []
 
     for key, section in sections:
         if key.value == ":domain":
-            domain_name = _word_at(section, 1, "a domain name", filename).value
+            word = _word_at(section, 1, "a domain name", filename)
+            domain_name, domain_pos = word.value, (word.line, word.col)
         elif key.value == ":objects":
             objects = _parse_typed_list(section.items[1:], filename)
         elif key.value == ":init":
@@ -485,12 +466,8 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
             if len(section.items) != 2 or not isinstance(section.items[1], _Node):
                 raise ParseError("expected one parenthesized formula in (:goal ...)",
                                  filename, section.line, section.col)
-            for f in _conjunction(section.items[1], filename):
-                a = _parse_atom(f, filename)
-                if a.pred == "not":
-                    raise ParseError("negative goals are not supported (STRIPS)",
-                                     filename, f.line, f.col)
-                goal.append(a)
+            goal.extend(atom for _, atom in _literals(
+                section.items[1], filename, "negative goals are not supported (STRIPS)"))
         elif key.value == ":requirements":
             _requirements(section, filename)
         else:
@@ -499,17 +476,19 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
 
     if not domain_name:
         raise ParseError("problem is missing (:domain ...)", filename, root.line, root.col)
-    return ProblemAst(name, domain_name, objects, tuple(init), tuple(goal), filename)
+    return ProblemAst(name, domain_name, objects, tuple(init), tuple(goal), filename,
+                      domain_pos)
 
 
 def check_problem(domain: DomainAst, problem: ProblemAst) -> None:
     """Validate a problem against its domain: names, arities, declared
-    objects. An error names the object or atom at fault at its position; an
+    objects. An error is at the domain name, object or atom at fault; an
     object that repeats a constant or an earlier object is one."""
     filename = problem.filename
     if problem.domain_name != domain.name:
         raise UndeclaredNameError(
-            f"problem declares domain {problem.domain_name}, expected {domain.name}", filename)
+            f"problem declares domain {problem.domain_name}, expected {domain.name}", filename,
+            *problem.domain_pos)
     declared = domain.declared_types()
     for o in problem.objects:
         if o.type not in declared:
@@ -521,19 +500,9 @@ def check_problem(domain: DomainAst, problem: ProblemAst) -> None:
             raise UndeclaredNameError(f"duplicate object name {o.name}", filename, *o.pos)
         known.add(o.name)
     arity = {p: len(params) for p, params in domain.predicates}
-    for where, atoms in (("init", problem.init), ("goal", problem.goal)):
+    for where, atoms in ((":init", problem.init), (":goal", problem.goal)):
         for atom in atoms:
-            if atom.pred not in arity:
-                raise UndeclaredNameError(f"undeclared predicate {atom.pred} in :{where}",
-                                          filename, *atom.pos)
-            if len(atom.args) != arity[atom.pred]:
-                raise UndeclaredNameError(
-                    f"predicate {atom.pred} expects {arity[atom.pred]} arguments in :{where}",
-                    filename, *atom.pos)
-            for a in atom.args:
-                if a not in known:
-                    raise UndeclaredNameError(f"undeclared object {a} in :{where}",
-                                              filename, *atom.pos)
+            _check_atom(atom, arity, known, where, filename)
 
 
 # ── Pretty printing (round-trip support) ─────────────────────────────────────
@@ -549,9 +518,8 @@ def domain_to_pddl(domain: DomainAst) -> str:
         lines.append("  (:types " + _fmt_typed_list(domain.types) + ")")
     if domain.constants:
         lines.append("  (:constants " + _fmt_typed_list(domain.constants) + ")")
-    preds = " ".join(
-        "(" + " ".join((name,) + tuple(f"{p.name} - {p.type}" for p in params)) + ")"
-        for name, params in domain.predicates)
+    preds = " ".join(atom_text(name, tuple(f"{p.name} - {p.type}" for p in params))
+                     for name, params in domain.predicates)
     lines.append(f"  (:predicates {preds})")
     for s in domain.schemas:
         pre = [str(a) for a in s.precond]

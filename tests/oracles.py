@@ -2,16 +2,19 @@
 
 Each oracle deliberately uses a different formulation from the code under
 test: plain-dict value iteration for additive costs, breadth-first state
-search for optimal lengths, closed-form two-parameter least squares, and an
-exhaustive plan-space enumeration for minimum remaining refinement cost.
+search for optimal lengths, closed-form two-parameter least squares, an
+exhaustive plan-space enumeration for minimum remaining refinement cost, and
+a recursive-descent reader over the tokens of each line for s-expressions.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from itertools import product
 
 from poclkit.grounding import GroundTask
+from poclkit.pddl import ParseError
 from poclkit.plans import (Flaw, PartialPlan, _threat_sort_key, apply_resolver, is_solution,
                            resolvers)
 
@@ -138,3 +141,34 @@ def enumerate_bindings(objects_by_type: dict[str, list[str]],
     """Brute-force type-consistent binding tuples for a schema signature."""
     pools = [objects_by_type[t] for t in param_types]
     return list(product(*pools))
+
+
+def read_sexpr(text: str):
+    """The one top-level list of ``text`` by recursive descent: a list is
+    ``("(", line, col, items)`` and a word ``(word, line, col)``, lower-cased.
+    Anything but exactly one list raises ParseError."""
+    tokens = []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        code = line.split(";", 1)[0]
+        tokens += [(m.group().lower(), line_no, m.start() + 1)
+                   for m in re.finditer(r"[()]|[^ \t\r();]+", code)]
+
+    def read(i: int):
+        word, line, col = tokens[i]
+        if word != "(":
+            return (word, line, col), i + 1
+        items = []
+        i += 1
+        while i < len(tokens) and tokens[i][0] != ")":
+            item, i = read(i)
+            items.append(item)
+        if i == len(tokens):
+            raise ParseError("missing closing parenthesis")
+        return ("(", line, col, tuple(items)), i + 1
+
+    if not tokens or tokens[0][0] != "(":
+        raise ParseError("expected one parenthesized form")
+    form, end = read(0)
+    if end != len(tokens):
+        raise ParseError("trailing content after top-level form")
+    return form

@@ -295,7 +295,6 @@ def test_criterion_10_determinism(tmp_path):
             max_generated=20_000,
             wall_time=10.0,
             out_dir=str(tmp_path / tag),
-            rng_seed=0,
             workers=2,
         )
         report = run_suite(suite)

@@ -97,7 +97,6 @@ def test_parse_suite_config(tmp_path):
     max_nodes = 1234
     timeout = 5.5
     out_dir = out
-    seed = 3
     workers = 1
     """
     config = parse_suite_config(text, base_dir="/base")
@@ -107,7 +106,6 @@ def test_parse_suite_config(tmp_path):
     assert config.strategy == "mc-loc"
     assert config.max_generated == 1234
     assert config.wall_time == 5.5
-    assert config.rng_seed == 3
     assert config.workers == 1
 
 
@@ -125,13 +123,15 @@ def test_parse_suite_config_rejects_bad_lines():
 
 
 def test_parse_suite_config_rejects_unknown_keys(tmp_path, capsys):
-    text = "domain = d.pddl\nproblem = p.pddl\nevaluator = add\nmax_node = 10\n"
-    with pytest.raises(ValueError, match=r"line 4: unknown key 'max_node'"):
-        parse_suite_config(text)
-    config_path = tmp_path / "suite.cfg"
-    config_path.write_text(text)
-    assert cli.main(["bench", str(config_path)]) == cli.EXIT_INPUT
-    assert "unknown key 'max_node'" in capsys.readouterr().err
+    # a misspelt key, and seed, which no part of a run ever read
+    for key in ("max_node", "seed"):
+        text = f"domain = d.pddl\nproblem = p.pddl\nevaluator = add\n{key} = 10\n"
+        with pytest.raises(ValueError, match=rf"line 4: unknown key '{key}'"):
+            parse_suite_config(text)
+        config_path = tmp_path / "suite.cfg"
+        config_path.write_text(text)
+        assert cli.main(["bench", str(config_path)]) == cli.EXIT_INPUT
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_parse_suite_config_rejects_repeated_keys(tmp_path, capsys):
@@ -165,7 +165,7 @@ def test_parse_suite_config_rejects_duplicate_entries(tmp_path, capsys, key, fir
 @pytest.mark.parametrize("key, value", [
     ("max_nodes", "-3"), ("max_nodes", "0"), ("max_nodes", "1.5"), ("timeout", "-1"),
     ("timeout", "0"), ("timeout", "nan"), ("max_copies", "-1"), ("max_copies", "0"),
-    ("workers", "-1"), ("seed", "x"), ("flaws", "xx"), ("evaluator", "bogus"),
+    ("workers", "-1"), ("flaws", "xx"), ("evaluator", "bogus"),
 ])
 def test_parse_suite_config_rejects_out_of_range_numbers(tmp_path, capsys, key, value):
     # a limit no search can meet, or an evaluator no search has, would run
@@ -184,10 +184,10 @@ def test_parse_suite_config_rejects_out_of_range_numbers(tmp_path, capsys, key, 
 
 def test_parse_suite_config_accepts_boundary_numbers():
     text = ("domain = d.pddl\nproblem = p.pddl\nevaluator = add\n"
-            "max_nodes = 1\ntimeout = 0.5\nmax_copies = 1\nworkers = 0\nseed = -2\n")
+            "max_nodes = 1\ntimeout = 0.5\nmax_copies = 1\nworkers = 0\n")
     config = parse_suite_config(text)
-    assert (config.max_generated, config.wall_time, config.max_copies, config.workers,
-            config.rng_seed) == (1, 0.5, 1, 0, -2)
+    assert (config.max_generated, config.wall_time, config.max_copies,
+            config.workers) == (1, 0.5, 1, 0)
     assert parse_suite_config(text.replace("max_copies = 1", "max_copies = none")) \
         .max_copies is None
 

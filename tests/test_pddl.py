@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from poclkit import cli
 from poclkit.grounding import ground
-from poclkit.pddl import (ROOT_TYPE, ParseError, PddlError, ProblemAst, UndeclaredNameError,
-                          UnsupportedRequirementError, domain_to_pddl, load_domain,
-                          load_problem, parse_domain, parse_problem, problem_to_pddl)
+from poclkit.pddl import (ROOT_TYPE, Atom, EqConstraint, ParseError, PddlError, ProblemAst,
+                          UndeclaredNameError, UnsupportedRequirementError, _Node, _read_sexpr,
+                          domain_to_pddl, load_domain, load_problem, parse_domain,
+                          parse_problem, problem_to_pddl)
 
 from conftest import FIXTURES, fixture_path
-from oracles import enumerate_bindings
+from oracles import enumerate_bindings, read_sexpr
 
 MINI_DOMAIN = """
 (define (domain mini)
@@ -248,6 +249,9 @@ PROBLEM_ERRORS = {
                     "predicate at-robby expects 1 arguments"),
     "not-type-consistent": ("(at ball1 rooma)", "(at left rooma)",
                             "atom (at left rooma) in :init is not type-consistent"),
+    # the last problem-side error without a line: it is at the domain name
+    "wrong-domain": ("gripper)\n  (:objects", "grippy)\n  (:objects",
+                     "problem declares domain grippy, expected gripper"),
 }
 
 
@@ -359,6 +363,59 @@ def test_a_type_inconsistent_action_atom_is_reported_in_the_domain(tmp_path, cap
     _assert_input_error(
         tmp_path, capsys, text, problem, UndeclaredNameError,
         lambda d, p: f"{d}:5:{col}: atom (at r1 r1) in action go is not type-consistent")
+
+
+PROBLEM = "(define (problem t) (:domain d) (:objects o1) (:init (p o1)) (:goal {}))"
+
+# an action atom error, in the words of the problem side and at the atom:
+# (precondition, column on line 4, message); the = cases once passed
+# unchecked, (= ?x ?zz) making the search end exhausted, and o1, a problem
+# object, once grounded as if it were a domain constant
+ACTION_ERRORS = {
+    "undeclared-predicate": ("(q ?x)", 5, "undeclared predicate q"),
+    "wrong-arity": ("(p ?x ?x)", 5, "predicate p expects 1 arguments"),
+    "undeclared-variable": ("(p ?y)", 5, "undeclared variable ?y"),
+    "problem-object": ("(p o1)", 5, "undeclared object o1"),
+    "equality-variable": ("(= ?x ?zz)", 5, "undeclared variable ?zz"),
+    "inequality-variable": ("(not (= ?x ?zz))", 10, "undeclared variable ?zz"),
+    "equality-object": ("(= ?x o1)", 5, "undeclared object o1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACTION_ERRORS))
+def test_an_action_atom_error_is_reported_at_the_atom(tmp_path, capsys, case):
+    pre, col, message = ACTION_ERRORS[case]
+    _assert_input_error(tmp_path, capsys, _domain_with_precondition(pre),
+                        PROBLEM.format("(p o1)"), UndeclaredNameError,
+                        lambda d, p: f"{d}:4:{col}: {message} in action a")
+
+
+def test_an_action_may_name_a_domain_constant():
+    text = ("(define (domain d) (:constants c1) (:predicates (p ?x))\n"
+            "  (:action a :parameters (?x) :precondition (and (p c1) (not (= ?x c1)))\n"
+            "    :effect (p ?x)))")
+    schema = parse_domain(text).schemas[0]
+    assert schema.precond == (Atom("p", ("c1",)),)
+    assert schema.eq_constraints == (EqConstraint("?x", "c1", False),)
+
+
+@pytest.mark.parametrize("goal", ["(not (p o1))", "(and (p o1) (not (= o1 o1)))", "(not)"])
+def test_a_negative_goal_is_an_error_at_the_literal(tmp_path, capsys, goal):
+    # (not (p o1)) once read "expected an argument" at (p o1)
+    problem = PROBLEM.format(goal)
+    col = problem.index("(not") + 1
+    _assert_input_error(tmp_path, capsys, _domain_with_precondition("(p ?x)"), problem,
+                        ParseError,
+                        lambda d, p: f"{p}:1:{col}: negative goals are not supported (STRIPS)")
+
+
+def test_a_goal_is_read_as_a_precondition_is():
+    # () is the empty conjunction, and a list is no formula head
+    assert parse_problem(PROBLEM.format("(and (p o1) ())")).goal == (Atom("p", ("o1",)),)
+    text = PROBLEM.format("(and ((p) o1))")
+    with pytest.raises(ParseError) as err:
+        parse_problem(text, "t.pddl")
+    assert str(err.value) == f"t.pddl:1:{text.index('(p)') + 1}: expected a formula head"
 
 
 def test_the_first_undeclared_type_in_the_text_is_reported():
@@ -531,6 +588,33 @@ def test_fuzzed_pddl_raises_only_pddl_errors(name, edits):
         _parse_and_ground(name, _mutate(_fixture_tokens(name), edits))
     except PddlError:
         pass
+
+
+def _tree(form):
+    """A read form as the reference reader gives it."""
+    if isinstance(form, _Node):
+        return ("(", form.line, form.col, tuple(_tree(item) for item in form.items))
+    return (form.value, form.line, form.col)
+
+
+WORDS = st.sampled_from(["a", "Bc", "?x", "-", ":init", "\u00e9", "x\fy"])
+GAPS = st.sampled_from(["", " ", "\n", "\t", "\r\n", " ;note (\n", "  "])
+FORMS = st.recursive(WORDS, lambda forms: st.tuples(st.lists(st.tuples(GAPS, forms)), GAPS).map(
+    lambda t: "(" + "".join(gap + form for gap, form in t[0]) + t[1] + ")"), max_leaves=20)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(st.tuples(GAPS, FORMS, GAPS).map("".join),
+                      st.lists(st.one_of(WORDS, GAPS, st.sampled_from("();")), max_size=30)
+                      .map("".join)))
+def test_reader_agrees_with_a_recursive_reference(text):
+    try:
+        expected = read_sexpr(text)
+    except ParseError:
+        with pytest.raises(ParseError):
+            _read_sexpr(text, "t")
+        return
+    assert _tree(_read_sexpr(text, "t")) == expected
 
 
 # ── Source positions ─────────────────────────────────────────────────────────
