@@ -33,17 +33,16 @@ up to 2,000 freed tuples of each length up to 20 on free lists, which held
 about 256 KB after the bundled suites' searches.
 
 The new-step children of one open condition, one per adding action, differ
-only in the action. They share one base: the closure, the new causal link
-and the links tuple, the open conditions less the supported one, and the
-threats on the new link. Each child builds only its steps, its
-``producers``, its action's preconditions as open conditions and the threats
-its step poses to existing links. The caller holds the base
-(``new_step_base``) and passes it to ``apply_resolver``, so a search can
-queue a child as its base plus its action and build it only when popped.
-A base is made with only the parent plan, the open condition and the new
-step's row of the closure, which is what ranking the children reads; its
-shared part is built when the first child is built, so a flaw none of
-whose children is popped never builds it.
+only in the action. They share one ``NewStepBase``: the closure, the new
+causal link and the links tuple, the open conditions less the supported one,
+and the threats on the new link. ``NewStepBase.child`` is the one builder of
+a new-step child, and each child builds only its steps, its ``producers``,
+its action's preconditions as open conditions and the threats its step
+poses to existing links. So a search can queue a child as its base plus its
+action and build it only when popped. A base is made with only the parent
+plan, the open condition and the new step's row of the closure, which is
+what ranking the children reads; its shared part is built with its first
+child, so a flaw none of whose children is popped never builds it.
 """
 
 from __future__ import annotations
@@ -262,47 +261,35 @@ def resolvers(plan: PartialPlan, flaw: Flaw, task: GroundTask,
     for aid in task.adders[q]:
         if copies and copies.get(aid, 0) >= max_copies:
             continue
-        out.append(new_step_resolver(q, c, actions[aid]))
+        out.append(_record(Resolver, ("new-step", q, c, None, actions[aid], None)))
     return out
-
-
-def new_step_resolver(q: int, c: int, act: GroundAction) -> Resolver:
-    """The resolver supporting the open condition ``(q, c)`` with a new step
-    of ``act``, as ``resolvers`` makes it."""
-    return _record(Resolver, ("new-step", q, c, None, act, None))
 
 
 class NewStepBase:
     """What every new-step child of the open condition ``(fact, consumer)``
-    of ``plan`` shares, whichever action the new step is.
+    of ``plan`` shares, whichever action the new step is; ``child`` builds
+    each child.
 
     Made with ``plan``, ``fact``, ``consumer`` and ``step_after``, the new
     step's row of the children's closure: all that ranking the children
-    reads. The shared part is built once, on its first read, which is when
-    the first child is built: ``after`` (the children's closure, the new
-    step last), ``links`` (the parent's plus the new link), ``open_conds``
-    (the parent's less ``(fact, consumer)``), ``on_link`` (the live threats
-    on the new link) and ``threats`` (the parent's plus ``on_link``).
+    reads. ``shared`` is None until the first child is built, and then the
+    part every child shares: the children's closure (the new step last), the
+    parent's links plus the new link, the parent's open conditions less
+    ``(fact, consumer)``, the live threats on the new link, and the parent's
+    threats plus those.
     """
-    __slots__ = ("plan", "fact", "consumer", "step_after",
-                 "after", "links", "open_conds", "on_link", "threats")
+    __slots__ = ("plan", "fact", "consumer", "step_after", "shared")
 
     def __init__(self, plan: PartialPlan, fact: int, consumer: int):
         self.plan = plan
         self.fact = fact
         self.consumer = consumer
         self.step_after = (1 << GOAL_STEP) | (1 << consumer) | plan.after[consumer]
+        self.shared = None
 
-    def __getattr__(self, name: str):
-        # called only when normal lookup fails: for the shared part, an unset slot
-        if name not in _SHARED:
-            raise AttributeError(name)
-        self._complete()
-        return getattr(self, name)
-
-    def _complete(self) -> None:
-        """Build the shared part. The new step sits after a0 and before a_inf
-        and the consumer: it cannot close a cycle, and it orders no pair of
+    def _shared_part(self) -> tuple:
+        """Build ``shared``. The new step sits after a0 and before a_inf and
+        the consumer: it cannot close a cycle, and it orders no pair of
         existing steps, so every old threat stays live, and it is the new
         link's producer, so it never threatens that link."""
         plan, q, c = self.plan, self.fact, self.consumer
@@ -310,54 +297,43 @@ class NewStepBase:
         after = list(plan.after)
         after.append(self.step_after)
         after[INIT_STEP] |= 1 << sid
-        self.after = after = tuple(after)
+        after = tuple(after)
         link = CausalLink(sid, q, c)
-        self.links = plan.links + (link,)
-        self.open_conds = _without(plan.open_conds, OpenCondition(q, c))
-        self.on_link = tuple(_threats_on_link(after, plan.steps, link))
-        self.threats = plan.threats + self.on_link
+        on_link = tuple(_threats_on_link(after, plan.steps, link))
+        return (after, plan.links + (link,), _without(plan.open_conds, OpenCondition(q, c)),
+                on_link, plan.threats + on_link)
 
-
-_SHARED = frozenset(NewStepBase.__slots__[4:])
-
-
-def new_step_base(plan: PartialPlan, q: int, c: int) -> NewStepBase:
-    """The base of the new-step children supporting ``(q, c)``, an open
-    condition of ``plan``; its shared part is not built yet."""
-    return NewStepBase(plan, q, c)
-
-
-def apply_resolver(plan: PartialPlan, resolver: Resolver,
-                   base: Optional[NewStepBase] = None) -> Optional[PartialPlan]:
-    """A new plan with the resolver applied, or None if an ordering cycles.
-
-    A new-step resolver may pass ``base``, the ``new_step_base`` of ``plan``
-    and the resolver's open condition, so that siblings build it once. A
-    new-step child builds only its steps, its ``producers``, its action's
-    preconditions as open conditions and the threats its step poses to
-    existing links.
-    """
-    kind, q, c, p, act, ordering = resolver
-    if kind == "new-step":
-        if base is None:
-            base = new_step_base(plan, q, c)
+    def child(self, act: GroundAction) -> PartialPlan:
+        """The child whose new step is ``act``. Beyond the shared part, built
+        on the first call, it builds only its steps, its ``producers``, its
+        action's preconditions as open conditions and the threats its step
+        poses to existing links."""
+        shared = self.shared
+        if shared is None:
+            shared = self.shared = self._shared_part()
+        after, links, open_conds, on_link, threats = shared
+        plan = self.plan
         sid = len(plan.steps)
         bit = 1 << sid
         producers = list(plan.producers)
         for f in act.add:
             producers[f] |= bit
-        after = base.after
         by_step = _threats_by_step(after, sid, act, plan.links)
         if by_step:
-            by_step += base.on_link
+            by_step += on_link
             threats = plan.threats + tuple(sorted(by_step, key=_threat_sort_key))
-        else:
-            threats = base.threats
-        open_conds = []
+        new_conds = []
         for f in act.pre:
-            open_conds.append(_record(OpenCondition, (f, sid)))
-        return PartialPlan(plan.steps + (act,), after, producers, base.links,
-                           base.open_conds + tuple(open_conds), threats)
+            new_conds.append(_record(OpenCondition, (f, sid)))
+        return PartialPlan(plan.steps + (act,), after, producers, links,
+                           open_conds + tuple(new_conds), threats)
+
+
+def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPlan]:
+    """A new plan with the resolver applied, or None if an ordering cycles."""
+    kind, q, c, p, act, ordering = resolver
+    if kind == "new-step":
+        return NewStepBase(plan, q, c).child(act)
 
     if kind == "reuse":
         after = _add_edge(plan.after, p, c)

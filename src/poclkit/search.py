@@ -5,16 +5,15 @@ MW-Loc rule (threats first, then the costliest open condition local to the
 newest step). Ranks are frozen at node-generation time: a tracker update never
 re-ranks plans already in the queue.
 
-A new-step child is queued pending, as its flaw's shared new-step base and
-its action in the heap entry itself, and built only when popped; about half
-of all generated plans are never popped. ``built`` makes its resolver from
-the base and the action when it is popped, so the open list holds no
-resolver records. It is ranked at generation from ``new_step_values``, which
-gives the built child's features exactly, so the search is the same as if
-every child were built at once; the base builds what its children share
-only when the first of them is popped. A ``ModelEvaluator`` computes only the
-features its model's mask names, one ``feature_value`` or ``new_step_values``
-column each.
+A new-step child is queued pending, as its flaw's shared ``NewStepBase`` and
+its action in the heap entry itself, and built by ``NewStepBase.child`` only
+when popped; about half of all generated plans are never popped, and the
+open list holds no resolver records. It is ranked at generation from
+``new_step_values``, which gives the built child's features exactly, so the
+search is the same as if every child were built at once; the base builds
+what its children share only when the first of them is popped. A
+``ModelEvaluator`` computes only the features its model's mask names, one
+``feature_value`` or ``new_step_values`` column each.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from .heuristics import (FEATURE_NAMES, CostTables, build_tables, feature_value,
 # stays bound because perfbench's tracer wraps poclkit.search.feature_vector
 from .heuristics import feature_vector  # noqa: F401
 from .plans import (MAX_COPIES, Flaw, NewStepBase, PartialPlan, apply_resolver, is_solution,
-                    makespan, new_step_base, new_step_resolver, null_plan, resolvers,
-                    step_sequence, validate)
+                    makespan, null_plan, resolvers, step_sequence, validate)
 from .tuning import ErrorTracker, TraceRow, step_error
 
 log = logging.getLogger("poclkit.search")
@@ -139,41 +137,28 @@ def select_flaw(plan: PartialPlan, strategy: str, tables: CostTables) -> Flaw:
     return best
 
 
-# A new-step child not built yet: its flaw's shared base and its action. A
-# plain pair, since one is made per generated new-step child and a named
-# tuple costs several times as much to make; a built child is a PartialPlan.
-Pending = tuple[NewStepBase, GroundAction]
-Child = Union[PartialPlan, Pending]
-
-
 def expand(plan: PartialPlan, task: GroundTask, strategy: str, tables: CostTables,
-           max_copies: Optional[int] = MAX_COPIES) -> list[Child]:
+           max_copies: Optional[int] = MAX_COPIES) -> list:
     """Children from resolving ``select_flaw``'s flaw; inconsistent ones dropped.
 
-    New-step children come last, pending on one shared base; ``built`` gives
-    the plan of any child.
+    A child is a built plan or, for a new-step child, a plain pair of its
+    flaw's shared base and its action, since one pair is made per generated
+    new-step child and a named tuple costs several times as much to make.
+    New-step children come last; ``base.child(action)`` builds one.
     """
     flaw = select_flaw(plan, strategy, tables)
-    children: list[Child] = []
+    children = []
     base = None
     for res in resolvers(plan, flaw, task, max_copies):
         if res.kind == "new-step":
             if base is None:
-                base = new_step_base(plan, res.fact, res.consumer)
+                base = NewStepBase(plan, res.fact, res.consumer)
             children.append((base, res.action))
         else:
             child = apply_resolver(plan, res)
             if child is not None:
                 children.append(child)
     return children
-
-
-def built(child: Child) -> PartialPlan:
-    """The plan of a child from ``expand``; a pending one is built now."""
-    if type(child) is tuple:
-        base, act = child
-        return apply_resolver(base.plan, new_step_resolver(base.fact, base.consumer, act), base)
-    return child
 
 
 def _best_index(ranks: list[float], counts: list[int]) -> int:
@@ -259,7 +244,7 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
             return finish("limit-hit")
         _, _, node_id, plan, act, h_parent = heapq.heappop(heap)
         if act is not None:    # ``plan`` is the base of a pending child
-            plan = built((plan, act))
+            plan = plan.child(act)
         visited += 1
         if is_solution(plan):
             return finish("solved", plan, node_id)
@@ -305,7 +290,7 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
             if record_trace:
                 trace.append(TraceRow(generated, node_id, raw, counts[i], i == best_i))
                 if act is not None:
-                    child, act = built((child, act)), None
+                    child, act = base.child(act), None
                 generated_plans.append(child)
             heapq.heappush(heap, (ranks[i], counts[i], generated, child, act, raw))
             generated += 1

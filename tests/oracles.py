@@ -172,3 +172,12 @@ def read_sexpr(text: str):
     if end != len(tokens):
         raise ParseError("trailing content after top-level form")
     return form
+
+
+def built(child) -> PartialPlan:
+    """The plan of a child from ``expand``; a pending (base, action) pair is
+    built now."""
+    if type(child) is tuple:
+        base, act = child
+        return base.child(act)
+    return child

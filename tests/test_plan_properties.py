@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 from poclkit import search
 from poclkit.heuristics import FEATURE_NAMES, build_tables, feature_vector, new_step_values
 from poclkit.learning import LinearModel
-from poclkit.plans import (GOAL_STEP, INIT_STEP, OpenCondition, PartialPlan, Resolver,
-                           apply_resolver, is_solution, linearize, new_step_base, null_plan,
+from poclkit.plans import (GOAL_STEP, INIT_STEP, NewStepBase, OpenCondition, PartialPlan,
+                           Resolver, apply_resolver, is_solution, linearize, null_plan,
                            random_linearization, resolvers, step_sequence, validate)
-from poclkit.search import FeatureEvaluator, ModelEvaluator, built, expand, select_flaw
+from poclkit.search import FeatureEvaluator, ModelEvaluator, expand, select_flaw
 
 from conftest import random_task
-from oracles import collect_flaws, costliest_local_flaw
+from oracles import built, collect_flaws, costliest_local_flaw
 
 
 def _reach(steps, edges) -> dict[int, set[int]]:
@@ -228,9 +228,9 @@ def test_pending_new_step_children_rank_and_build_like_built_ones(seed, max_fact
             options = [r for r in resolvers(plan, oc, task) if r.kind == "new-step"]
             if not options:
                 continue
-            base = new_step_base(plan, oc.fact, oc.consumer)
+            base = NewStepBase(plan, oc.fact, oc.consumer)
             cold = [apply_resolver(plan, r) for r in options]
-            assert [apply_resolver(plan, r, base) for r in options] == cold
+            assert [base.child(r.action) for r in options] == cold
             actions = [r.action for r in options]
             vectors = [feature_vector(child, tables) for child in cold]
             for i, name in enumerate(FEATURE_NAMES):

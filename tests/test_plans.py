@@ -11,7 +11,7 @@ from poclkit.grounding import ground
 from poclkit.pddl import load_domain, load_problem
 from poclkit.plans import (GOAL_STEP, INIT_STEP, CausalLink, NewStepBase, OpenCondition,
                            Resolver, Threat, apply_resolver, earliest_slots, format_plan,
-                           is_solution, linearize, makespan, new_step_base, null_plan,
+                           is_solution, linearize, makespan, null_plan,
                            random_linearization, resolvers, step_sequence, validate)
 from poclkit.heuristics import FEATURE_NAMES, build_tables, new_step_values
 from poclkit.search import FeatureEvaluator, SearchLimits, gbfs
@@ -210,8 +210,8 @@ def test_ordering_child_shares_unchanged_tuples():
 def test_new_step_siblings_share_their_base(gripper2):
     plan = null_plan(gripper2)
     flaw = OpenCondition(gripper2.fact_ids["(at ball1 roomb)"], GOAL_STEP)
-    base = new_step_base(plan, flaw.fact, flaw.consumer)
-    first, second = [apply_resolver(plan, r, base) for r in resolvers(plan, flaw, gripper2)]
+    base = NewStepBase(plan, flaw.fact, flaw.consumer)
+    first, second = [base.child(r.action) for r in resolvers(plan, flaw, gripper2)]
     assert first == apply_resolver(plan, resolvers(plan, flaw, gripper2)[0])
     assert first.after is second.after
     assert first.links is second.links
@@ -220,14 +220,15 @@ def test_new_step_siblings_share_their_base(gripper2):
 
 
 def _counting_completions(monkeypatch) -> list:
-    """Patch ``NewStepBase._complete`` to record each base it completes."""
-    completed, real = [], NewStepBase._complete
+    """Patch ``NewStepBase._shared_part`` to record each base that builds
+    its shared part."""
+    completed, real = [], NewStepBase._shared_part
 
     def completing(self):
         completed.append(self)
-        real(self)
+        return real(self)
 
-    monkeypatch.setattr(NewStepBase, "_complete", completing)
+    monkeypatch.setattr(NewStepBase, "_shared_part", completing)
     return completed
 
 
@@ -237,19 +238,20 @@ def test_new_step_base_builds_its_shared_part_once_for_the_first_child(gripper2,
     plan = null_plan(gripper2)
     flaw = OpenCondition(gripper2.fact_ids["(at ball1 roomb)"], GOAL_STEP)
     options = resolvers(plan, flaw, gripper2)
-    base = new_step_base(plan, flaw.fact, flaw.consumer)
+    base = NewStepBase(plan, flaw.fact, flaw.consumer)
     for name in FEATURE_NAMES:    # ranking the children reads no shared field
         new_step_values(name, base, tables, [r.action for r in options])
-    assert completed == []
-    first, second = [apply_resolver(plan, r, base) for r in options]
+    assert completed == [] and base.shared is None
+    first, second = [base.child(r.action) for r in options]
     assert completed == [base]
-    assert first.after is second.after is base.after
-    assert first.links is second.links is base.links
-    shared = len(base.open_conds)
+    after, links, open_conds, on_link, threats = base.shared
+    assert first.after is second.after is after
+    assert first.links is second.links is links
+    shared = len(open_conds)
     assert shared == len(plan.open_conds) - 1
     for child in (first, second):
-        assert all(a is b for a, b in zip(child.open_conds[:shared], base.open_conds))
-    assert base.threats == plan.threats + base.on_link
+        assert all(a is b for a, b in zip(child.open_conds[:shared], open_conds))
+    assert threats == plan.threats + on_link
 
 
 def test_new_step_on_another_plan_after_a_sibling_batch(gripper2):

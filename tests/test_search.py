@@ -292,7 +292,7 @@ class OracleEvaluator:
         return float(remaining) if remaining is not None else float("inf")
 
     def rank_new_steps(self, base, actions):
-        return [self.rank(search.built((base, act))) for act in actions]
+        return [self.rank(base.child(act)) for act in actions]
 
 
 def test_perfect_evaluator_ideal_case():
@@ -391,9 +391,9 @@ def test_visited_plans_are_freed(monkeypatch):
 
 
 def test_queued_children_hold_no_resolver():
-    # a pending new-step child is queued as its base and its action; its
-    # resolver is made again only when it is popped, so mid-search no
-    # resolver is alive beyond those alive before the search
+    # a pending new-step child is queued as its base and its action and
+    # built from them when popped, so mid-search no resolver is alive beyond
+    # those alive before the search
     task = load_fixture_task("gripper.pddl", "gripper-3.pddl")
     tables = build_tables(task)
     seen = {"visits": 0}
@@ -420,25 +420,24 @@ def test_only_a_base_with_a_built_child_builds_its_shared_part(monkeypatch):
     # a flaw none of whose new-step children is popped never builds the
     # closure, links, open conditions and threats its children would share
     made, built_from, completed = [], [], []
-    real_base, real_apply, real_complete = (search.new_step_base, search.apply_resolver,
-                                            NewStepBase._complete)
+    real_init, real_child, real_shared = (NewStepBase.__init__, NewStepBase.child,
+                                          NewStepBase._shared_part)
 
-    def making(plan, q, c):
-        made.append(real_base(plan, q, c))
-        return made[-1]
+    def making(self, plan, q, c):
+        real_init(self, plan, q, c)
+        made.append(self)
 
-    def applying(plan, res, base=None):
-        if base is not None:
-            built_from.append(base)
-        return real_apply(plan, res, base)
+    def building(self, act):
+        built_from.append(self)
+        return real_child(self, act)
 
     def completing(self):
         completed.append(self)
-        real_complete(self)
+        return real_shared(self)
 
-    monkeypatch.setattr(search, "new_step_base", making)
-    monkeypatch.setattr(search, "apply_resolver", applying)
-    monkeypatch.setattr(NewStepBase, "_complete", completing)
+    monkeypatch.setattr(NewStepBase, "__init__", making)
+    monkeypatch.setattr(NewStepBase, "child", building)
+    monkeypatch.setattr(NewStepBase, "_shared_part", completing)
     task = load_fixture_task("gripper.pddl", "gripper-3.pddl")
     tables = build_tables(task)
     gbfs(task, FeatureEvaluator("h_add", tables), limits=SearchLimits(2000), tables=tables)
