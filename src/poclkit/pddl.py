@@ -260,8 +260,8 @@ def _literals(node: _Node, filename: str, negative: str = "", inequalities: bool
         if negative and not (inequalities and isinstance(body, _Node) and body.items
                              and _is_word(body.items[0], "=")):
             raise ParseError(negative, filename, f.line, f.col)
-        if not isinstance(body, _Node):
-            raise ParseError("malformed (not ...) effect", filename, f.line, f.col)
+        if len(f.items) != 2 or not isinstance(body, _Node):
+            raise ParseError("expected one atom in (not ...)", filename, f.line, f.col)
         yield False, _parse_atom(body, filename)
 
 
@@ -454,6 +454,10 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
     for key, section in sections:
         if key.value == ":domain":
             word = _word_at(section, 1, "a domain name", filename)
+            if len(section.items) > 2:
+                extra = section.items[2]
+                raise ParseError("expected one domain name in (:domain ...)",
+                                 filename, extra.line, extra.col)
             domain_name, domain_pos = word.value, (word.line, word.col)
         elif key.value == ":objects":
             objects = _parse_typed_list(section.items[1:], filename)
@@ -503,46 +507,6 @@ def check_problem(domain: DomainAst, problem: ProblemAst) -> None:
     for where, atoms in ((":init", problem.init), (":goal", problem.goal)):
         for atom in atoms:
             _check_atom(atom, arity, known, where, filename)
-
-
-# ── Pretty printing (round-trip support) ─────────────────────────────────────
-
-def _fmt_typed_list(names: tuple[TypedName, ...]) -> str:
-    return " ".join(f"{n.name} - {n.type}" for n in names)
-
-
-def domain_to_pddl(domain: DomainAst) -> str:
-    lines = [f"(define (domain {domain.name})"]
-    lines.append("  (:requirements " + " ".join(domain.requirements) + ")")
-    if domain.types:
-        lines.append("  (:types " + _fmt_typed_list(domain.types) + ")")
-    if domain.constants:
-        lines.append("  (:constants " + _fmt_typed_list(domain.constants) + ")")
-    preds = " ".join(atom_text(name, tuple(f"{p.name} - {p.type}" for p in params))
-                     for name, params in domain.predicates)
-    lines.append(f"  (:predicates {preds})")
-    for s in domain.schemas:
-        pre = [str(a) for a in s.precond]
-        pre += [f"(= {e.left} {e.right})" if e.equal else f"(not (= {e.left} {e.right}))"
-                for e in s.eq_constraints]
-        eff = [str(a) for a in s.add] + [f"(not {a})" for a in s.delete]
-        lines.append(f"  (:action {s.name}")
-        lines.append(f"    :parameters ({_fmt_typed_list(s.params)})")
-        lines.append("    :precondition (and " + " ".join(pre) + ")")
-        lines.append("    :effect (and " + " ".join(eff) + "))")
-    lines.append(")")
-    return "\n".join(lines)
-
-
-def problem_to_pddl(problem: ProblemAst) -> str:
-    lines = [f"(define (problem {problem.name})",
-             f"  (:domain {problem.domain_name})"]
-    if problem.objects:
-        lines.append("  (:objects " + _fmt_typed_list(problem.objects) + ")")
-    lines.append("  (:init " + " ".join(str(a) for a in problem.init) + ")")
-    lines.append("  (:goal (and " + " ".join(str(a) for a in problem.goal) + "))")
-    lines.append(")")
-    return "\n".join(lines)
 
 
 def load_domain(path: str) -> DomainAst:

@@ -48,7 +48,6 @@ child, so a flaw none of whose children is popped never builds it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 from typing import NamedTuple, Optional, Union
 
 from .grounding import GroundAction, GroundTask
@@ -379,11 +378,6 @@ def linearize(plan: PartialPlan) -> list[int]:
     """Deterministic topological order of all steps, a0 first, a_inf last:
     always the smallest ready step id."""
     return _topological(plan, lambda ready: ready.index(min(ready)))
-
-
-def random_linearization(plan: PartialPlan, rng: Random) -> list[int]:
-    """A uniformly arbitrary topological order (for validation sampling)."""
-    return _topological(plan, lambda ready: rng.randrange(len(ready)))
 
 
 def earliest_slots(plan: PartialPlan) -> dict[int, int]:

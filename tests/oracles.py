@@ -5,6 +5,9 @@ test: plain-dict value iteration for additive costs, breadth-first state
 search for optimal lengths, closed-form two-parameter least squares, an
 exhaustive plan-space enumeration for minimum remaining refinement cost, and
 a recursive-descent reader over the tokens of each line for s-expressions.
+Beside them are the test-only helpers: ``built`` for the children of
+``expand``, random linearizations for validation sampling, and PDDL printers
+for the parser's round-trip tests.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from __future__ import annotations
 import re
 from collections import deque
 from itertools import product
+from random import Random
 
 from poclkit.grounding import GroundTask
-from poclkit.pddl import ParseError
-from poclkit.plans import (Flaw, PartialPlan, _threat_sort_key, apply_resolver, is_solution,
-                           resolvers)
+from poclkit.pddl import DomainAst, ParseError, ProblemAst, TypedName, atom_text
+from poclkit.plans import (Flaw, PartialPlan, _threat_sort_key, _topological, apply_resolver,
+                           is_solution, resolvers)
 
 INF = float("inf")
 
@@ -181,3 +185,46 @@ def built(child) -> PartialPlan:
         base, act = child
         return base.child(act)
     return child
+
+
+def random_linearization(plan: PartialPlan, rng: Random) -> list[int]:
+    """A uniformly arbitrary topological order (for validation sampling)."""
+    return _topological(plan, lambda ready: rng.randrange(len(ready)))
+
+
+def _fmt_typed_list(names: tuple[TypedName, ...]) -> str:
+    return " ".join(f"{n.name} - {n.type}" for n in names)
+
+
+def domain_to_pddl(domain: DomainAst) -> str:
+    lines = [f"(define (domain {domain.name})"]
+    lines.append("  (:requirements " + " ".join(domain.requirements) + ")")
+    if domain.types:
+        lines.append("  (:types " + _fmt_typed_list(domain.types) + ")")
+    if domain.constants:
+        lines.append("  (:constants " + _fmt_typed_list(domain.constants) + ")")
+    preds = " ".join(atom_text(name, tuple(f"{p.name} - {p.type}" for p in params))
+                     for name, params in domain.predicates)
+    lines.append(f"  (:predicates {preds})")
+    for s in domain.schemas:
+        pre = [str(a) for a in s.precond]
+        pre += [f"(= {e.left} {e.right})" if e.equal else f"(not (= {e.left} {e.right}))"
+                for e in s.eq_constraints]
+        eff = [str(a) for a in s.add] + [f"(not {a})" for a in s.delete]
+        lines.append(f"  (:action {s.name}")
+        lines.append(f"    :parameters ({_fmt_typed_list(s.params)})")
+        lines.append("    :precondition (and " + " ".join(pre) + ")")
+        lines.append("    :effect (and " + " ".join(eff) + "))")
+    lines.append(")")
+    return "\n".join(lines)
+
+
+def problem_to_pddl(problem: ProblemAst) -> str:
+    lines = [f"(define (problem {problem.name})",
+             f"  (:domain {problem.domain_name})"]
+    if problem.objects:
+        lines.append("  (:objects " + _fmt_typed_list(problem.objects) + ")")
+    lines.append("  (:init " + " ".join(str(a) for a in problem.init) + ")")
+    lines.append("  (:goal (and " + " ".join(str(a) for a in problem.goal) + "))")
+    lines.append(")")
+    return "\n".join(lines)

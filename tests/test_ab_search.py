@@ -61,3 +61,14 @@ def test_checkouts_that_search_differently_are_reported(tmp_path, capsys):
     plans.write_text(text.replace("\nMAX_COPIES = 2 ", "\nMAX_COPIES = 1 "))
     assert ab_search.main([ROOT, str(other), "--workload", "suite-reuse", "--rounds", "1"]) == 1
     assert "round 0: the sides differ" in capsys.readouterr().err
+
+
+def test_checkouts_that_write_other_plans_are_reported(tmp_path, capsys):
+    # a copy whose plan text differs while every count stays the same
+    other = _copy(tmp_path)
+    plans = other / "src" / "poclkit" / "plans.py"
+    text = plans.read_text()
+    assert text.count('f";; makespan=') == 1
+    plans.write_text(text.replace('f";; makespan=', 'f";; span='))
+    assert ab_search.main([ROOT, str(other), "--workload", "suite-reuse", "--rounds", "1"]) == 1
+    assert "round 0: the sides differ" in capsys.readouterr().err

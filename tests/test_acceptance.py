@@ -32,12 +32,12 @@ from poclkit.grounding import load_task
 from poclkit.heuristics import FeatureVector, additive_costs, build_tables
 from poclkit.learning import (DatasetConfig, TrainingInstance, Dataset, correlation_select,
                               fit_linear, generate_dataset, save_model)
-from poclkit.plans import is_solution, random_linearization, step_sequence, validate
+from poclkit.plans import is_solution, step_sequence, validate
 from poclkit.search import FeatureEvaluator, SearchLimits, gbfs
 from poclkit.tuning import ErrorTracker, read_trace, replay_telescoping, step_error, write_trace
 
 from conftest import FIXTURES, fixture_path, make_task, random_task
-from oracles import bellman_costs, ols_line
+from oracles import bellman_costs, ols_line, random_linearization
 
 WORKERS = os.cpu_count() or 2
 

@@ -15,11 +15,10 @@ from poclkit import cli
 from poclkit.grounding import ground
 from poclkit.pddl import (ROOT_TYPE, Atom, EqConstraint, ParseError, PddlError, ProblemAst,
                           UndeclaredNameError, UnsupportedRequirementError, _Node, _read_sexpr,
-                          domain_to_pddl, load_domain, load_problem, parse_domain,
-                          parse_problem, problem_to_pddl)
+                          load_domain, load_problem, parse_domain, parse_problem)
 
 from conftest import FIXTURES, fixture_path
-from oracles import enumerate_bindings, read_sexpr
+from oracles import domain_to_pddl, enumerate_bindings, problem_to_pddl, read_sexpr
 
 MINI_DOMAIN = """
 (define (domain mini)
@@ -93,6 +92,15 @@ MALFORMED = {
         "domain", _domain_with_precondition("(not (= ?x))"), (4, 10)),
     "equality-with-three-arguments": (
         "domain", _domain_with_precondition("(= ?x ?x ?x)"), (4, 5)),
+    # extra items once dropped without a word: a (not ...) kept its first
+    # atom, and (:domain ...) its first name
+    "not-with-two-atoms": (
+        "domain", "(define (domain d) (:predicates (p ?x) (q ?x))\n  (:action a :parameters (?x)\n"
+        "    :effect (and (q ?x) (not (p ?x) (q ?x)))))", (3, 25)),
+    "inequality-with-a-second-atom": (
+        "domain", _domain_with_precondition("(not (= ?x ?x) (p ?x))"), (4, 5)),
+    "domain-with-two-names": (
+        "problem", "(define (problem p)\n  (:domain d junk)\n  (:init) (:goal (and)))", (2, 14)),
     # section bodies once read as empty (or, repeated, the last kept)
     "goal-without-parentheses": (
         "problem", "(define (problem p)\n  (:domain d)\n  (:init) (:goal q))", (3, 11)),

@@ -20,12 +20,12 @@ from poclkit import search
 from poclkit.heuristics import FEATURE_NAMES, build_tables, feature_vector, new_step_values
 from poclkit.learning import LinearModel
 from poclkit.plans import (GOAL_STEP, INIT_STEP, NewStepBase, OpenCondition, PartialPlan,
-                           Resolver, apply_resolver, is_solution, linearize, null_plan,
-                           random_linearization, resolvers, step_sequence, validate)
+                           Resolver, apply_resolver, is_solution, linearize, null_plan, resolvers,
+                           step_sequence, validate)
 from poclkit.search import FeatureEvaluator, ModelEvaluator, expand, select_flaw
 
 from conftest import random_task
-from oracles import built, collect_flaws, costliest_local_flaw
+from oracles import built, collect_flaws, costliest_local_flaw, random_linearization
 
 
 def _reach(steps, edges) -> dict[int, set[int]]:

@@ -11,13 +11,13 @@ from poclkit.grounding import ground
 from poclkit.pddl import load_domain, load_problem
 from poclkit.plans import (GOAL_STEP, INIT_STEP, CausalLink, NewStepBase, OpenCondition,
                            Resolver, Threat, apply_resolver, earliest_slots, format_plan,
-                           is_solution, linearize, makespan, null_plan,
-                           random_linearization, resolvers, step_sequence, validate)
+                           is_solution, linearize, makespan, null_plan, resolvers,
+                           step_sequence, validate)
 from poclkit.heuristics import FEATURE_NAMES, build_tables, new_step_values
 from poclkit.search import FeatureEvaluator, SearchLimits, gbfs
 
 from conftest import fixture_path, make_task
-from oracles import collect_flaws
+from oracles import collect_flaws, random_linearization
 
 
 def solve(task, feature="h_add", strategy="mw-loc", max_nodes=50000):

@@ -16,14 +16,14 @@ from poclkit import search
 from poclkit.heuristics import FEATURE_NAMES, build_tables
 from poclkit.learning import LinearModel
 from poclkit.plans import (GOAL_STEP, NewStepBase, OpenCondition, PartialPlan, Resolver, Threat,
-                           apply_resolver, is_solution, null_plan, random_linearization,
-                           resolvers, step_sequence, validate)
+                           apply_resolver, is_solution, null_plan, resolvers, step_sequence,
+                           validate)
 from poclkit.search import (FeatureEvaluator, ModelEvaluator, SearchLimits, _best_index, expand,
                             gbfs, select_flaw)
 from poclkit.tuning import ErrorTracker
 
 from conftest import live_plans, load_fixture_task, make_task
-from oracles import bfs_optimal_length, collect_flaws, min_new_actions
+from oracles import bfs_optimal_length, collect_flaws, min_new_actions, random_linearization
 
 
 # ── select_flaw ──────────────────────────────────────────────────────────────

@@ -12,9 +12,10 @@ once on each side, then runs its searches once on each side, each in
 alternating order (A then B, then B then A), and times each side in CPU
 seconds after a garbage collection; so the two sides share the host's drift.
 The searches use the tasks set up at start. Every round checks that both
-sides give identical (outcome, generated, visited, plan length) for every
-search, and for ``learn`` identical dataset draws, instances (features,
-target and the seed plan's action count) and model weights.
+sides give identical (outcome, generated, visited, plan length, plan text)
+for every search, the plan text being ``format_plan``'s for a solved search,
+and for ``learn`` identical dataset draws, instances (features, target, the
+seed plan's action count and the solution plan's text) and model weights.
 
 Workloads, as in the benchmark of the same names but calling ``gbfs``
 directly (no report, no plan files); their problems, evaluators, node budgets
@@ -81,6 +82,7 @@ class Side:
         self.grounding = importlib.import_module(alias + ".grounding")
         self.heuristics = importlib.import_module(alias + ".heuristics")
         self.learning = importlib.import_module(alias + ".learning")
+        self.plans = importlib.import_module(alias + ".plans")
         self.search = importlib.import_module(alias + ".search")
         self.workload = workload
         fixtures = os.path.join(checkout, "tests", "fixtures")
@@ -109,7 +111,8 @@ class Side:
         task, tables = self.tasks[name]
         limits = self.search.SearchLimits(NODE_BUDGET[self.workload], WALL_LIMIT)
         result = self.search.gbfs(task, evaluator, "mw-loc", limits, tables)
-        return (name, result.outcome, result.generated, result.visited, result.plan_length)
+        text = self.plans.format_plan(result.plan) if result.solved else None
+        return (name, result.outcome, result.generated, result.visited, result.plan_length, text)
 
     def run(self) -> list:
         """One pass of the workload; what both sides must agree on."""
@@ -128,8 +131,8 @@ class Side:
         tables = self.tasks[LEARN_TEST_PROBLEM][1]
         out = [(d.problem, d.solved, d.pool_before, d.pool_after, d.generated)
                for d in dataset.draws]
-        out += [(tuple(inst.features), inst.target, inst.seed_plan.action_count)
-                for inst in dataset.instances]
+        out += [(tuple(inst.features), inst.target, inst.seed_plan.action_count,
+                 self.plans.format_plan(inst.solution_plan)) for inst in dataset.instances]
         out.append((model.mask, model.weights, model.intercept))
         out.append(self._search(LEARN_TEST_PROBLEM, search.FeatureEvaluator(LEARN_BASE, tables)))
         with tempfile.TemporaryDirectory() as tmp:
