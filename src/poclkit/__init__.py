@@ -9,8 +9,8 @@ from .learning import (Dataset, DatasetConfig, LinearModel, TrainingInstance,
                        save_model)
 from .pddl import DomainAst, ProblemAst, parse_domain, parse_problem
 from .plans import (CausalLink, OpenCondition, PartialPlan, Resolver, Threat, apply_resolver,
-                    format_plan, is_solution, linearize, makespan, null_plan, resolvers,
-                    validate)
+                    format_plan, is_solution, linearize, makespan, new_step_actions, null_plan,
+                    resolvers, validate)
 from .search import (FeatureEvaluator, ModelEvaluator, SearchLimits, SearchResult, expand, gbfs,
                      select_flaw)
 from .tuning import (ErrorTracker, TraceRow, read_trace, replay_telescoping, step_error,

@@ -32,10 +32,12 @@ there, since most queued children are pending and own no ``producers``
 up to 2,000 freed tuples of each length up to 20 on free lists, which held
 about 256 KB after the bundled suites' searches.
 
-The new-step children of one open condition, one per adding action, differ
-only in the action. They share one ``NewStepBase``: the closure, the new
-causal link and the links tuple, the open conditions less the supported one,
-and the threats on the new link. ``NewStepBase.child`` is the one builder of
+``resolvers`` gives the refinements that add no step: a threat's orderings
+and an open condition's reuses. An open condition's new-step children, one
+per action of ``new_step_actions`` (the adders the copy bound admits),
+differ only in the action. They share one ``NewStepBase``: the closure, the
+new causal link and the links tuple, the open conditions less the supported
+one, and the threats on the new link. ``NewStepBase.child`` is the one builder of
 a new-step child, and each child builds only its steps, its ``producers``,
 its action's preconditions as open conditions and the threats its step
 poses to existing links. So a search can queue a child as its base plus its
@@ -54,7 +56,7 @@ from .grounding import GroundAction, GroundTask
 
 INIT_STEP = 0
 GOAL_STEP = 1
-MAX_COPIES = 2    # default bound on steps sharing one ground action; see ``resolvers``
+MAX_COPIES = 2    # default bound on steps sharing one ground action; see ``new_step_actions``
 
 
 class CausalLink(NamedTuple):
@@ -75,24 +77,19 @@ class Threat(NamedTuple):
 
 Flaw = Union[OpenCondition, Threat]
 
-# A NamedTuple's own ``__new__`` is a Python function. The records made once
-# per child (new-step resolvers, a new step's open conditions) skip it: the
-# same record, made about 2.5 times as fast.
+# A NamedTuple's own ``__new__`` is a Python function. A new step's open
+# conditions, made once per child, skip it: the same record, made about 2.5
+# times as fast.
 _record = tuple.__new__
 
 
 class Resolver(NamedTuple):
-    """One way to remove a flaw. ``new-step`` resolvers cost 1, others 0."""
-    kind: str  # "reuse" | "new-step" | "promotion" | "demotion"
+    """One way to remove a flaw without adding a step."""
+    kind: str  # "reuse" | "promotion" | "demotion"
     fact: Optional[int] = None
     consumer: Optional[int] = None
     producer: Optional[int] = None
-    action: Optional[GroundAction] = None
     ordering: Optional[tuple[int, int]] = None
-
-    @property
-    def cost(self) -> int:
-        return 1 if self.kind == "new-step" else 0
 
 
 @dataclass(slots=True)
@@ -226,42 +223,43 @@ def is_solution(plan: PartialPlan) -> bool:
     return not plan.open_conds and not plan.threats
 
 
-def resolvers(plan: PartialPlan, flaw: Flaw, task: GroundTask,
-              max_copies: Optional[int] = MAX_COPIES) -> list[Resolver]:
-    """All refinements removing ``flaw``; empty list means a dead end.
-
-    ``max_copies`` bounds how many steps may share one ground-action id,
-    cutting achieve/destroy loops; ``None`` disables the filter.
-    """
+def resolvers(plan: PartialPlan, flaw: Flaw) -> list[Resolver]:
+    """The refinements of ``flaw`` that add no step: promotion and demotion
+    of a threat, reuse for an open condition. An open condition's new-step
+    children are ``new_step_actions``'s."""
     out: list[Resolver] = []
     if isinstance(flaw, Threat):
         t, link = flaw
         p, _, c = link
         if plan.can_order(t, p):
-            out.append(Resolver("promotion", None, None, None, None, (t, p)))
+            out.append(Resolver("promotion", None, None, None, (t, p)))
         if plan.can_order(c, t):
-            out.append(Resolver("demotion", None, None, None, None, (c, t)))
+            out.append(Resolver("demotion", None, None, None, (c, t)))
         return out
 
     q, c = flaw
-    # Only copies of q's adders are compared with the bound, and every step
-    # holding one adds q: the producers of q other than a0 are the steps to count.
-    copies: dict[int, int] = {}
-    adding = plan.producers[q]
-    if adding:
-        blocked = (1 << c) | plan.after[c]    # c and the steps after it
-        for sid in _bits(adding):
-            if not (blocked >> sid) & 1:
-                out.append(Resolver("reuse", q, c, sid))
-            if sid != INIT_STEP and max_copies is not None:
-                aid = plan.steps[sid].id
-                copies[aid] = copies.get(aid, 0) + 1
-    actions = task.actions
-    for aid in task.adders[q]:
-        if copies and copies.get(aid, 0) >= max_copies:
-            continue
-        out.append(_record(Resolver, ("new-step", q, c, None, actions[aid], None)))
+    blocked = (1 << c) | plan.after[c]    # c and the steps after it
+    for sid in _bits(plan.producers[q] & ~blocked):
+        out.append(Resolver("reuse", q, c, sid))
     return out
+
+
+def new_step_actions(plan: PartialPlan, fact: int, task: GroundTask,
+                     max_copies: Optional[int] = MAX_COPIES) -> list[GroundAction]:
+    """The actions whose new step could support ``fact``, in ``task.adders``
+    order. ``max_copies`` bounds how many steps may share one ground-action
+    id, cutting achieve/destroy loops; ``None`` disables the filter."""
+    # Only copies of the fact's adders are compared with the bound, and every
+    # step holding one adds the fact: its producers other than a0 are the
+    # steps to count.
+    copies: dict[int, int] = {}
+    if max_copies is not None:
+        for sid in _bits(plan.producers[fact] & ~(1 << INIT_STEP)):
+            aid = plan.steps[sid].id
+            copies[aid] = copies.get(aid, 0) + 1
+    actions = task.actions
+    return [actions[aid] for aid in task.adders[fact]
+            if not copies or copies.get(aid, 0) < max_copies]
 
 
 class NewStepBase:
@@ -330,10 +328,7 @@ class NewStepBase:
 
 def apply_resolver(plan: PartialPlan, resolver: Resolver) -> Optional[PartialPlan]:
     """A new plan with the resolver applied, or None if an ordering cycles."""
-    kind, q, c, p, act, ordering = resolver
-    if kind == "new-step":
-        return NewStepBase(plan, q, c).child(act)
-
+    kind, q, c, p, ordering = resolver
     if kind == "reuse":
         after = _add_edge(plan.after, p, c)
         if after is None:

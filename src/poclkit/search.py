@@ -31,8 +31,9 @@ from .heuristics import (FEATURE_NAMES, CostTables, build_tables, feature_value,
 # not called here since models rank from their masked features; the name
 # stays bound because perfbench's tracer wraps poclkit.search.feature_vector
 from .heuristics import feature_vector  # noqa: F401
-from .plans import (MAX_COPIES, Flaw, NewStepBase, PartialPlan, apply_resolver, is_solution,
-                    makespan, null_plan, resolvers, step_sequence, validate)
+from .plans import (MAX_COPIES, Flaw, NewStepBase, PartialPlan, Threat, apply_resolver,
+                    is_solution, makespan, new_step_actions, null_plan, resolvers,
+                    step_sequence, validate)
 from .tuning import ErrorTracker, TraceRow, step_error
 
 log = logging.getLogger("poclkit.search")
@@ -139,25 +140,23 @@ def select_flaw(plan: PartialPlan, strategy: str, tables: CostTables) -> Flaw:
 
 def expand(plan: PartialPlan, task: GroundTask, strategy: str, tables: CostTables,
            max_copies: Optional[int] = MAX_COPIES) -> list:
-    """Children from resolving ``select_flaw``'s flaw; inconsistent ones dropped.
+    """Children from resolving ``select_flaw``'s flaw; an empty list is a dead end.
 
-    A child is a built plan or, for a new-step child, a plain pair of its
-    flaw's shared base and its action, since one pair is made per generated
-    new-step child and a named tuple costs several times as much to make.
-    New-step children come last; ``base.child(action)`` builds one.
+    The plans of ``resolvers``' refinements come first, inconsistent ones
+    dropped. For an open condition with at least one action in
+    ``new_step_actions``, one pair of its shared ``NewStepBase`` and those
+    actions comes last; ``base.child(action)`` builds each new-step child.
     """
     flaw = select_flaw(plan, strategy, tables)
     children = []
-    base = None
-    for res in resolvers(plan, flaw, task, max_copies):
-        if res.kind == "new-step":
-            if base is None:
-                base = NewStepBase(plan, res.fact, res.consumer)
-            children.append((base, res.action))
-        else:
-            child = apply_resolver(plan, res)
-            if child is not None:
-                children.append(child)
+    for res in resolvers(plan, flaw):
+        child = apply_resolver(plan, res)
+        if child is not None:
+            children.append(child)
+    if not isinstance(flaw, Threat):
+        actions = new_step_actions(plan, flaw.fact, task, max_copies)
+        if actions:
+            children.append((NewStepBase(plan, *flaw), actions))
     return children
 
 
@@ -251,18 +250,12 @@ def gbfs(task: GroundTask, evaluator, strategy: str = "mw-loc",
         if debug and visited % 5000 == 0:
             log.debug("visited=%d generated=%d queue=%d", visited, generated, len(heap))
 
-        # expand's list is split into built plans and the new-step actions of
-        # its one base, and not kept: the queue holds no pending pairs
-        plans, raws, base, actions = [], [], None, []
-        for child in expand(plan, task, strategy, tables, max_copies):
-            if type(child) is tuple:
-                base, act = child
-                actions.append(act)
-            else:
-                plans.append(child)
-                raws.append(rank(child))
-        if not plans and not actions:
+        plans = expand(plan, task, strategy, tables, max_copies)
+        if not plans:
             continue
+        # the flaw's new-step children, if any, are the last entry, one (base, actions) pair
+        base, actions = plans.pop() if type(plans[-1]) is tuple else (None, ())
+        raws = [rank(child) for child in plans]
         n = plan.action_count
         counts = [n] * len(raws)    # reuse and ordering children add no step
         if actions:

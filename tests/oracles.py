@@ -5,7 +5,8 @@ test: plain-dict value iteration for additive costs, breadth-first state
 search for optimal lengths, closed-form two-parameter least squares, an
 exhaustive plan-space enumeration for minimum remaining refinement cost, and
 a recursive-descent reader over the tokens of each line for s-expressions.
-Beside them are the test-only helpers: ``built`` for the children of
+Beside them are the test-only helpers: ``new_step_children`` and
+``refinements`` for the children of one flaw, ``built`` for the children of
 ``expand``, random linearizations for validation sampling, and PDDL printers
 for the parser's round-trip tests.
 """
@@ -19,8 +20,9 @@ from random import Random
 
 from poclkit.grounding import GroundTask
 from poclkit.pddl import DomainAst, ParseError, ProblemAst, TypedName, atom_text
-from poclkit.plans import (Flaw, PartialPlan, _threat_sort_key, _topological, apply_resolver,
-                           is_solution, resolvers)
+from poclkit.plans import (MAX_COPIES, Flaw, NewStepBase, OpenCondition, PartialPlan,
+                           _threat_sort_key, _topological, apply_resolver, is_solution,
+                           new_step_actions, resolvers)
 
 INF = float("inf")
 
@@ -126,12 +128,14 @@ def min_new_actions(task: GroundTask, plan: PartialPlan, cap: int = 12) -> int |
             return False
         flaws = collect_flaws(p)
         flaw = flaws[0]
-        for res in resolvers(p, flaw, task, max_copies=2):
-            if res.cost > budget:
-                continue
+        for res in resolvers(p, flaw):    # each adds no step, so costs 0
             child = apply_resolver(p, res)
-            if child is not None and dfs(child, budget - res.cost, depth + 1):
+            if child is not None and dfs(child, budget, depth + 1):
                 return True
+        if budget and isinstance(flaw, OpenCondition):    # a new step costs 1
+            for child in new_step_children(p, flaw, task, max_copies=2):
+                if dfs(child, budget - 1, depth + 1):
+                    return True
         return False
 
     for budget in range(cap + 1):
@@ -178,13 +182,32 @@ def read_sexpr(text: str):
     return form
 
 
-def built(child) -> PartialPlan:
-    """The plan of a child from ``expand``; a pending (base, action) pair is
+def new_step_children(plan: PartialPlan, oc: OpenCondition, task: GroundTask,
+                      max_copies: int | None = MAX_COPIES) -> list[PartialPlan]:
+    """The new-step children of ``oc``, one per action of ``new_step_actions``
+    in its order, each built on a base of its own."""
+    return [NewStepBase(plan, *oc).child(act)
+            for act in new_step_actions(plan, oc.fact, task, max_copies)]
+
+
+def refinements(plan: PartialPlan, flaw: Flaw, task: GroundTask,
+                max_copies: int | None = MAX_COPIES) -> list[PartialPlan | None]:
+    """Every child of ``flaw`` in ``expand``'s order: ``resolvers``' applied
+    (None where an ordering cycles), then an open condition's new-step
+    children as ``new_step_children`` builds them."""
+    children = [apply_resolver(plan, res) for res in resolvers(plan, flaw)]
+    if isinstance(flaw, OpenCondition):
+        children += new_step_children(plan, flaw, task, max_copies)
+    return children
+
+
+def built(children: list) -> list[PartialPlan]:
+    """The plans of ``expand``'s children, its final (base, actions) pair
     built now."""
-    if type(child) is tuple:
-        base, act = child
-        return base.child(act)
-    return child
+    if children and type(children[-1]) is tuple:
+        base, actions = children[-1]
+        return children[:-1] + [base.child(act) for act in actions]
+    return children
 
 
 def random_linearization(plan: PartialPlan, rng: Random) -> list[int]:

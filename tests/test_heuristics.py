@@ -11,12 +11,12 @@ import pytest
 from poclkit.grounding import GroundTask
 from poclkit.heuristics import (FEATURE_NAMES, FeatureVector, additive_costs, build_tables,
                                 eval_add, feature_value, feature_vector)
-from poclkit.plans import (GOAL_STEP, OpenCondition, apply_resolver, is_solution, null_plan,
-                           resolvers)
+from poclkit.plans import GOAL_STEP, OpenCondition, is_solution, null_plan
 from poclkit.search import FeatureEvaluator, SearchLimits, gbfs
 
 from conftest import make_task, random_task
-from oracles import bellman_costs, bfs_optimal_length, collect_flaws, relaxed_goal_depth
+from oracles import (bellman_costs, bfs_optimal_length, collect_flaws, new_step_children,
+                     refinements, relaxed_goal_depth)
 
 INF = math.inf
 
@@ -102,9 +102,7 @@ def test_eval_g_counts_real_steps(chain_task):
     tables = build_tables(chain_task)
     plan = null_plan(chain_task)
     assert feature_vector(plan, tables).h_gval == 0.0
-    (r,) = [r for r in resolvers(plan, OpenCondition(2, GOAL_STEP), chain_task)
-            if r.kind == "new-step"]
-    child = apply_resolver(plan, r)
+    (child,) = new_step_children(plan, OpenCondition(2, GOAL_STEP), chain_task)
     assert feature_vector(child, tables).h_gval == 1.0
 
 
@@ -119,18 +117,16 @@ def test_eval_oc(chain_task):
     tables = build_tables(chain_task)
     plan = null_plan(chain_task)
     assert feature_vector(plan, tables).h_oc == 1.0
-    (r,) = [r for r in resolvers(plan, OpenCondition(2, GOAL_STEP), chain_task)
-            if r.kind == "new-step"]
+    (child,) = new_step_children(plan, OpenCondition(2, GOAL_STEP), chain_task)
     # -1 goal condition, +1 new
-    assert feature_vector(apply_resolver(plan, r), tables).h_oc == 1.0
+    assert feature_vector(child, tables).h_oc == 1.0
 
 
 def test_eval_oc_new_step_with_three_preconditions():
     task = make_task(5, [({1, 2, 3}, {0}, set())], {1, 2, 3}, {0})
     plan = null_plan(task)
-    (r,) = [r for r in resolvers(plan, OpenCondition(0, GOAL_STEP), task)
-            if r.kind == "new-step"]
-    assert feature_vector(apply_resolver(plan, r), build_tables(task)).h_oc == 3.0
+    (child,) = new_step_children(plan, OpenCondition(0, GOAL_STEP), task)
+    assert feature_vector(child, build_tables(task)).h_oc == 3.0
 
 
 def test_eval_add_chain_values(chain_task):
@@ -156,16 +152,12 @@ def test_reuse_discounts_supplied_condition(chain_task):
     # fact 1 is only achievable by new step A, so no discount applies yet.
     plan = null_plan(chain_task)
     tables = build_tables(chain_task)
-    (rb,) = [r for r in resolvers(plan, OpenCondition(2, GOAL_STEP), chain_task)
-             if r.kind == "new-step"]
-    p1 = apply_resolver(plan, rb)
+    (p1,) = new_step_children(plan, OpenCondition(2, GOAL_STEP), chain_task)
     assert eval_add(p1, tables.plain, reuse=False) == 1.0
     assert eval_add(p1, tables.plain, reuse=True) == 1.0
     # now add step A; its precondition fact 0 is suppliable by a0, and fact 1
     # (if it were open on another consumer) would be suppliable by A
-    (ra,) = [r for r in resolvers(p1, OpenCondition(1, p1.newest_step), chain_task)
-             if r.kind == "new-step"]
-    p2 = apply_resolver(p1, ra)
+    (p2,) = new_step_children(p1, OpenCondition(1, p1.newest_step), chain_task)
     assert eval_add(p2, tables.plain, reuse=False) == 0.0  # fact 0 costs 0
     assert eval_add(p2, tables.plain, reuse=True) == 0.0
 
@@ -175,14 +167,11 @@ def test_reuse_zero_for_existing_adder():
     task = make_task(3, [(set(), {1}, set()), (set(), {2}, set())], {0}, {1, 2})
     plan = null_plan(task)
     tables = build_tables(task)
-    (r,) = [r for r in resolvers(plan, OpenCondition(2, GOAL_STEP), task)
-            if r.kind == "new-step" and 2 in r.action.add]
-    plan = apply_resolver(plan, r)
+    (plan,) = [c for c in new_step_children(plan, OpenCondition(2, GOAL_STEP), task)
+               if 2 in c.steps[c.newest_step].add]
     # open condition (1, goal): new step a1 is not its supplier yet fact 1 has
     # no existing adder, so no discount; re-check with the adder present
-    (r1,) = [r for r in resolvers(plan, OpenCondition(1, GOAL_STEP), task)
-             if r.kind == "new-step"]
-    with_adder = apply_resolver(plan, r1)
+    (with_adder,) = new_step_children(plan, OpenCondition(1, GOAL_STEP), task)
     assert eval_add(plan, tables.plain, reuse=True) == 1.0
     # after adding the adder, the remaining OCs are only its own preconditions
     assert eval_add(with_adder, tables.plain, reuse=True) == 0.0
@@ -222,8 +211,7 @@ def test_reuse_never_exceeds_plain_sum(gripper2, gripper2_tables):
         if is_solution(p):
             continue
         flaw = collect_flaws(p)[0]
-        for r in resolvers(p, flaw, gripper2)[:3]:
-            child = apply_resolver(p, r)
+        for child in refinements(p, flaw, gripper2)[:3]:
             if child is not None:
                 frontier.append(child)
 

@@ -19,13 +19,14 @@ from hypothesis import strategies as st
 from poclkit import search
 from poclkit.heuristics import FEATURE_NAMES, build_tables, feature_vector, new_step_values
 from poclkit.learning import LinearModel
-from poclkit.plans import (GOAL_STEP, INIT_STEP, NewStepBase, OpenCondition, PartialPlan,
-                           Resolver, apply_resolver, is_solution, linearize, null_plan, resolvers,
-                           step_sequence, validate)
+from poclkit.plans import (GOAL_STEP, INIT_STEP, CausalLink, NewStepBase, OpenCondition,
+                           PartialPlan, Resolver, Threat, apply_resolver, is_solution, linearize,
+                           new_step_actions, null_plan, resolvers, step_sequence, validate)
 from poclkit.search import FeatureEvaluator, ModelEvaluator, expand, select_flaw
 
 from conftest import random_task
-from oracles import built, collect_flaws, costliest_local_flaw, random_linearization
+from oracles import (built, collect_flaws, costliest_local_flaw, new_step_children,
+                     random_linearization, refinements)
 
 
 def _reach(steps, edges) -> dict[int, set[int]]:
@@ -80,7 +81,7 @@ def _check_plan(task, tables, plan, edges):
     expected["h_gval"] = float(len(plan.steps) - 2)    # less a0 and a_inf
     expected["h_oc"] = float(len(plan.open_conds))
     for fact, consumer in plan.open_conds:
-        reuse = [r.producer for r in resolvers(plan, OpenCondition(fact, consumer), task)
+        reuse = [r.producer for r in resolvers(plan, OpenCondition(fact, consumer))
                  if r.kind == "reuse"]
         assert reuse == _reusers(plan, reach, fact, consumer)
         expected["h_add"] += plain[fact]
@@ -99,13 +100,15 @@ def _check_plan(task, tables, plan, edges):
         done.add(sid)
 
 
-def _new_edges(child, resolver) -> list[tuple[int, int]]:
+def _new_edges(child, flaw, resolver) -> list[tuple[int, int]]:
+    """The edges ``child`` adds to its parent: ``resolver``'s, or a new
+    step's when ``resolver`` is None."""
+    if resolver is None:
+        sid = child.newest_step
+        return [(INIT_STEP, sid), (sid, GOAL_STEP), (sid, flaw.consumer)]
     if resolver.kind in ("promotion", "demotion"):
         return [resolver.ordering]
-    if resolver.kind == "reuse":
-        return [(resolver.producer, resolver.consumer)]
-    sid = child.newest_step
-    return [(INIT_STEP, sid), (sid, GOAL_STEP), (sid, resolver.consumer)]
+    return [(resolver.producer, resolver.consumer)]
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -121,15 +124,17 @@ def test_random_refinements_match_brute_force(seed, max_facts, depth):
         flaws = collect_flaws(plan)
         if not flaws:
             break
-        options = resolvers(plan, rng.choice(flaws), task)
-        if not options:
+        flaw = rng.choice(flaws)
+        options = resolvers(plan, flaw)
+        children = refinements(plan, flaw, task)
+        if not children:
             break
-        children = [apply_resolver(plan, r) for r in options]
         assert _snapshot(task, plan) == path[-1][1]
-        i = rng.randrange(len(options))
+        i = rng.randrange(len(children))
         if children[i] is None:
             break
-        edges = edges | set(_new_edges(children[i], options[i]))
+        resolver = options[i] if i < len(options) else None    # None: a new step
+        edges = edges | set(_new_edges(children[i], flaw, resolver))
         plan = children[i]
         path.append((plan, _snapshot(task, plan)))
     _check_plan(task, tables, plan, edges)
@@ -160,8 +165,7 @@ def test_select_flaw_matches_its_definition(seed, max_facts, depth):
         flaws = collect_flaws(plan)
         if not flaws:
             break
-        options = [c for r in resolvers(plan, rng.choice(flaws), task)
-                   if (c := apply_resolver(plan, r)) is not None]
+        options = [c for c in refinements(plan, rng.choice(flaws), task) if c is not None]
         if not options:
             break
         plan = rng.choice(options)
@@ -174,9 +178,9 @@ def _fields(plan) -> tuple:
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), max_facts=st.integers(3, 10), depth=st.integers(0, 20))
 def test_expand_children_match_cold_applications(seed, max_facts, depth):
-    # ``expand`` queues one flaw's new-step children pending on one shared
-    # base, built later by ``built``; each cold application is on a fresh
-    # copy of the plan and builds its own base
+    # ``expand`` returns one flaw's new-step children pending on one shared
+    # base, built later by ``built``; the cold children are built from a
+    # fresh copy of the plan, each new-step child on a base of its own
     rng = Random(seed)
     task = random_task(rng, max_facts=max_facts)
     tables = build_tables(task)
@@ -190,15 +194,52 @@ def test_expand_children_match_cold_applications(seed, max_facts, depth):
         batches = []
         for flaw in chosen:
             with patch.object(search, "select_flaw", lambda *_, flaw=flaw: flaw):
-                batches.append([built(c) for c in expand(plan, task, "mw-loc", tables)])
+                batches.append(built(expand(plan, task, "mw-loc", tables)))
         for flaw, batch in zip(chosen, batches):
-            cold = [c for r in resolvers(plan, flaw, task)
-                    if (c := apply_resolver(copy.copy(plan), r)) is not None]
+            cold = [c for c in refinements(copy.copy(plan), flaw, task) if c is not None]
             assert [_fields(c) for c in batch] == [_fields(c) for c in cold]
         children = [c for batch in batches for c in batch]
         if not children:
             break
         plan = rng.choice(children)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), max_facts=st.integers(3, 10), depth=st.integers(0, 20),
+       max_copies=st.sampled_from([1, 2, None]))
+def test_expand_shape(seed, max_facts, depth, max_copies):
+    # the built children first, then at most one (base, actions) pair, never
+    # with no actions; [] exactly when the flaw has no consistent child
+    rng = Random(seed)
+    task = random_task(rng, max_facts=max_facts, max_actions=6)
+    tables = build_tables(task)
+    plan = null_plan(task)
+    for _ in range(depth):
+        flaws = collect_flaws(plan)
+        if not flaws:
+            break
+        flaw = rng.choice(flaws)
+        with patch.object(search, "select_flaw", lambda *_: flaw):
+            children = expand(plan, task, "mw-loc", tables, max_copies)
+        applied = [c for r in resolvers(plan, flaw) if (c := apply_resolver(plan, r)) is not None]
+        actions = ([] if isinstance(flaw, Threat)
+                   else new_step_actions(plan, flaw.fact, task, max_copies))
+        assert (children == []) == (not applied and not actions)
+        if actions:
+            base, pending = children[-1]
+            assert type(base) is NewStepBase and base.plan is plan
+            assert (base.fact, base.consumer) == tuple(flaw)
+            assert pending == actions
+            plans = children[:-1]
+        else:
+            plans = children
+        assert all(type(c) is PartialPlan for c in plans)
+        flat = built(children)
+        expected = applied + ([base.child(act) for act in actions] if actions else [])
+        assert [_fields(c) for c in flat] == [_fields(c) for c in expected]
+        if not flat:
+            break
+        plan = rng.choice(flat)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -225,13 +266,12 @@ def test_pending_new_step_children_rank_and_build_like_built_ones(seed, max_fact
     assert [one.rank(plan) for one in one_weight] == [ev.rank(plan) for ev in evaluators]
     for _ in range(depth):
         for oc in plan.open_conds:
-            options = [r for r in resolvers(plan, oc, task) if r.kind == "new-step"]
-            if not options:
+            actions = new_step_actions(plan, oc.fact, task)
+            if not actions:
                 continue
             base = NewStepBase(plan, oc.fact, oc.consumer)
-            cold = [apply_resolver(plan, r) for r in options]
-            assert [base.child(r.action) for r in options] == cold
-            actions = [r.action for r in options]
+            cold = new_step_children(plan, oc, task)
+            assert [base.child(act) for act in actions] == cold
             vectors = [feature_vector(child, tables) for child in cold]
             for i, name in enumerate(FEATURE_NAMES):
                 assert new_step_values(name, base, tables, actions) == [v[i] for v in vectors]
@@ -246,8 +286,7 @@ def test_pending_new_step_children_rank_and_build_like_built_ones(seed, max_fact
         flaws = collect_flaws(plan)
         if not flaws:
             break
-        options = [c for r in resolvers(plan, rng.choice(flaws), task)
-                   if (c := apply_resolver(plan, r)) is not None]
+        options = [c for c in refinements(plan, rng.choice(flaws), task) if c is not None]
         for ev, one in zip(evaluators, one_weight):    # reuse and ordering children too
             assert [one.rank(child) for child in options] == [ev.rank(child) for child in options]
         if not options:
@@ -271,15 +310,14 @@ def test_new_step_copy_bound_matches_brute_force(seed, max_facts, depth):
     for _ in range(depth):
         for oc in plan.open_conds:
             for max_copies in (1, 2, None):
-                got = [r.action.id for r in resolvers(plan, oc, task, max_copies=max_copies)
-                       if r.kind == "new-step"]
+                got = [act.id for act in new_step_actions(plan, oc.fact, task, max_copies)]
                 assert got == _new_step_actions(plan, task, oc.fact, max_copies)
         flaws = collect_flaws(plan)
         if not flaws:
             break
         # no copy bound while refining, so plans reach many copies of an action
-        options = [c for r in resolvers(plan, rng.choice(flaws), task, max_copies=None)
-                   if (c := apply_resolver(plan, r)) is not None]
+        options = [c for c in refinements(plan, rng.choice(flaws), task, max_copies=None)
+                   if c is not None]
         if not options:
             break
         plan = rng.choice(options)
@@ -289,11 +327,18 @@ def test_resolver_record_interface(chain_task):
     plan = null_plan(chain_task)
     (flaw,) = plan.open_conds
     act = chain_task.actions[chain_task.adders[flaw.fact][0]]
-    res = Resolver(kind="new-step", fact=flaw.fact, consumer=flaw.consumer, action=act)
-    assert res.kind == "new-step" and res.cost == 1
-    assert res.producer is None and res.ordering is None
-    assert Resolver("promotion", ordering=(2, 3)).cost == 0
-    assert res in resolvers(plan, flaw, chain_task)
+    assert act in new_step_actions(plan, flaw.fact, chain_task)
+    plan = NewStepBase(plan, *flaw).child(act)
+    assert plan.steps[plan.newest_step] is act
+    assert OpenCondition(flaw.fact, flaw.consumer) not in plan.open_conds
+    # a record stands for a refinement that adds no step: here a reuse of a0
+    (plan,) = new_step_children(plan, plan.open_conds[0], chain_task)
+    (flaw,) = plan.open_conds
+    res = Resolver(kind="reuse", fact=flaw.fact, consumer=flaw.consumer, producer=INIT_STEP)
+    assert res.kind == "reuse" and res.ordering is None
+    assert Resolver("promotion", ordering=(2, 3)).producer is None
+    assert res in resolvers(plan, flaw)
     child = apply_resolver(plan, res)
-    assert child.steps[child.newest_step] is act
+    assert child.steps is plan.steps
+    assert child.links == plan.links + (CausalLink(INIT_STEP, flaw.fact, flaw.consumer),)
     assert OpenCondition(flaw.fact, flaw.consumer) not in child.open_conds

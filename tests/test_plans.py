@@ -11,13 +11,13 @@ from poclkit.grounding import ground
 from poclkit.pddl import load_domain, load_problem
 from poclkit.plans import (GOAL_STEP, INIT_STEP, CausalLink, NewStepBase, OpenCondition,
                            Resolver, Threat, apply_resolver, earliest_slots, format_plan,
-                           is_solution, linearize, makespan, null_plan, resolvers,
-                           step_sequence, validate)
+                           is_solution, linearize, makespan, new_step_actions, null_plan,
+                           resolvers, step_sequence, validate)
 from poclkit.heuristics import FEATURE_NAMES, build_tables, new_step_values
 from poclkit.search import FeatureEvaluator, SearchLimits, gbfs
 
 from conftest import fixture_path, make_task
-from oracles import collect_flaws, random_linearization
+from oracles import collect_flaws, new_step_children, random_linearization, refinements
 
 
 def solve(task, feature="h_add", strategy="mw-loc", max_nodes=50000):
@@ -65,18 +65,14 @@ def test_threat_detection():
     task = make_task(4, [({0}, {1}, set()), (set(), {2}, {0})], {0}, {1, 2})
     plan = null_plan(task)
     # support x=1 with new step As
-    (r,) = [r for r in resolvers(plan, OpenCondition(1, GOAL_STEP), task)
-            if r.kind == "new-step"]
-    plan = apply_resolver(plan, r)
+    (plan,) = new_step_children(plan, OpenCondition(1, GOAL_STEP), task)
     # support As's precondition p from a0
-    (r,) = [r for r in resolvers(plan, OpenCondition(0, plan.newest_step), task)
+    (r,) = [r for r in resolvers(plan, OpenCondition(0, plan.newest_step))
             if r.kind == "reuse" and r.producer == INIT_STEP]
     plan = apply_resolver(plan, r)
     assert not plan.threats
     # introduce t: adds y=2, deletes p
-    (r,) = [r for r in resolvers(plan, OpenCondition(2, GOAL_STEP), task)
-            if r.kind == "new-step"]
-    plan = apply_resolver(plan, r)
+    (plan,) = new_step_children(plan, OpenCondition(2, GOAL_STEP), task)
     assert len(plan.threats) == 1
     threat = plan.threats[0]
     assert threat.link.producer == INIT_STEP and threat.link.fact == 0
@@ -87,8 +83,8 @@ def test_threat_detection():
 def test_reuse_only_resolver_from_init():
     task = make_task(2, [], {0}, {0})
     plan = null_plan(task)
-    res = resolvers(plan, OpenCondition(0, GOAL_STEP), task)
-    assert len(res) == 1
+    res = resolvers(plan, OpenCondition(0, GOAL_STEP))
+    assert len(res) == 1 and not new_step_actions(plan, 0, task)
     assert res[0].kind == "reuse" and res[0].producer == INIT_STEP
 
 
@@ -101,11 +97,10 @@ def _real_producer_threat_plan():
     task = make_task(4, [(set(), {0}, set()), ({0}, {1}, set()), (set(), {2}, {0})],
                      set(), {1, 2})
     plan = null_plan(task)
-    for fact, kind in ((1, "new-step"), (0, "new-step"), (2, "new-step")):
+    for fact in (1, 0, 2):
         flaw = next(f for f in collect_flaws(plan)
                     if isinstance(f, OpenCondition) and f.fact == fact)
-        (r,) = [r for r in resolvers(plan, flaw, task) if r.kind == kind]
-        plan = apply_resolver(plan, r)
+        (plan,) = new_step_children(plan, flaw, task)
     assert len(plan.threats) == 1
     return task, plan
 
@@ -113,7 +108,7 @@ def _real_producer_threat_plan():
 def test_threat_with_both_orderings_consistent():
     task, plan = _real_producer_threat_plan()
     threat = plan.threats[0]
-    res = resolvers(plan, threat, task)
+    res = resolvers(plan, threat)
     assert sorted(r.kind for r in res) == ["demotion", "promotion"]
     children = [apply_resolver(plan, r) for r in res]
     assert all(c is not None for c in children)
@@ -123,30 +118,26 @@ def test_threat_with_both_orderings_consistent():
 def test_gripper_new_step_resolvers_for_goal(gripper2):
     plan = null_plan(gripper2)
     fact = gripper2.fact_ids["(at ball1 roomb)"]
-    res = resolvers(plan, OpenCondition(fact, GOAL_STEP), gripper2)
-    new_steps = [r for r in res if r.kind == "new-step"]
+    new_steps = new_step_actions(plan, fact, gripper2)
     assert len(new_steps) == 2     # drop ball1 roomb left / right
-    assert all(r.action.name.startswith("drop ball1") for r in new_steps)
-    assert not [r for r in res if r.kind == "reuse"]
+    assert all(act.name.startswith("drop ball1") for act in new_steps)
+    assert not resolvers(plan, OpenCondition(fact, GOAL_STEP))    # no reuse
 
 
 def test_loop_avoidance_caps_copies(gripper2):
     plan = null_plan(gripper2)
     fact = gripper2.fact_ids["(at ball1 roomb)"]
     flaw = OpenCondition(fact, GOAL_STEP)
-    r = [r for r in resolvers(plan, flaw, gripper2) if r.kind == "new-step"][0]
-    p1 = apply_resolver(plan, r)
+    act = new_step_actions(plan, fact, gripper2)[0]
+    p1 = NewStepBase(plan, *flaw).child(act)
     # the same drop can appear once more, then the filter rejects a third copy
-    oc = OpenCondition(fact, GOAL_STEP)
-    again = [x for x in resolvers(p1, flaw, gripper2)
-             if x.kind == "new-step" and x.action.id == r.action.id]
+    again = [x for x in new_step_actions(p1, fact, gripper2) if x.id == act.id]
     assert again  # one copy present, second allowed
-    p2 = apply_resolver(p1, again[0])
-    third = [x for x in resolvers(p2, flaw, gripper2)
-             if x.kind == "new-step" and x.action.id == r.action.id]
+    p2 = NewStepBase(p1, *flaw).child(again[0])
+    third = [x for x in new_step_actions(p2, fact, gripper2) if x.id == act.id]
     assert not third
-    unbounded = [x for x in resolvers(p2, flaw, gripper2, max_copies=None)
-                 if x.kind == "new-step" and x.action.id == r.action.id]
+    unbounded = [x for x in new_step_actions(p2, fact, gripper2, max_copies=None)
+                 if x.id == act.id]
     assert unbounded
 
 
@@ -155,7 +146,7 @@ def test_loop_avoidance_caps_copies(gripper2):
 def test_apply_reuse_shrinks_open_conditions():
     task = make_task(2, [], {0}, {0})
     plan = null_plan(task)
-    child = apply_resolver(plan, resolvers(plan, OpenCondition(0, GOAL_STEP), task)[0])
+    child = apply_resolver(plan, resolvers(plan, OpenCondition(0, GOAL_STEP))[0])
     assert len(child.open_conds) == 0
     assert child.action_count == plan.action_count
 
@@ -163,11 +154,10 @@ def test_apply_reuse_shrinks_open_conditions():
 def test_apply_new_step_arithmetic(chain_task):
     plan = null_plan(chain_task)
     # goal fact 2 achieved by action B with 1 precondition: OCs 1 -> 1, count +1
-    (r,) = [r for r in resolvers(plan, OpenCondition(2, GOAL_STEP), chain_task)
-            if r.kind == "new-step"]
-    child = apply_resolver(plan, r)
+    (act,) = new_step_actions(plan, 2, chain_task)
+    child = NewStepBase(plan, 2, GOAL_STEP).child(act)
     assert child.action_count == 1
-    assert len(child.open_conds) == len(plan.open_conds) - 1 + len(r.action.pre)
+    assert len(child.open_conds) == len(plan.open_conds) - 1 + len(act.pre)
     assert child.newest_step not in (INIT_STEP, GOAL_STEP)
 
 
@@ -176,7 +166,7 @@ def test_apply_never_mutates_parent(chain_task):
     for _ in range(3):
         snapshot = copy.deepcopy(plan)
         flaw = collect_flaws(plan)[0]
-        child = apply_resolver(plan, resolvers(plan, flaw, chain_task)[0])
+        child = refinements(plan, flaw, chain_task)[0]
         assert plan == snapshot
         if child is None or is_solution(child):
             break
@@ -197,7 +187,7 @@ def test_apply_cycle_returns_none():
 
 def test_ordering_child_shares_unchanged_tuples():
     task, plan = _real_producer_threat_plan()
-    options = resolvers(plan, plan.threats[0], task)
+    options = resolvers(plan, plan.threats[0])
     assert sorted(r.kind for r in options) == ["demotion", "promotion"]
     for r in options:
         child = apply_resolver(plan, r)
@@ -211,8 +201,8 @@ def test_new_step_siblings_share_their_base(gripper2):
     plan = null_plan(gripper2)
     flaw = OpenCondition(gripper2.fact_ids["(at ball1 roomb)"], GOAL_STEP)
     base = NewStepBase(plan, flaw.fact, flaw.consumer)
-    first, second = [base.child(r.action) for r in resolvers(plan, flaw, gripper2)]
-    assert first == apply_resolver(plan, resolvers(plan, flaw, gripper2)[0])
+    first, second = [base.child(act) for act in new_step_actions(plan, flaw.fact, gripper2)]
+    assert first == new_step_children(plan, flaw, gripper2)[0]
     assert first.after is second.after
     assert first.links is second.links
     assert first.steps[-1] is not second.steps[-1]
@@ -237,12 +227,12 @@ def test_new_step_base_builds_its_shared_part_once_for_the_first_child(gripper2,
     tables = build_tables(gripper2)
     plan = null_plan(gripper2)
     flaw = OpenCondition(gripper2.fact_ids["(at ball1 roomb)"], GOAL_STEP)
-    options = resolvers(plan, flaw, gripper2)
+    options = new_step_actions(plan, flaw.fact, gripper2)
     base = NewStepBase(plan, flaw.fact, flaw.consumer)
     for name in FEATURE_NAMES:    # ranking the children reads no shared field
-        new_step_values(name, base, tables, [r.action for r in options])
+        new_step_values(name, base, tables, options)
     assert completed == [] and base.shared is None
-    first, second = [base.child(r.action) for r in options]
+    first, second = [base.child(act) for act in options]
     assert completed == [base]
     after, links, open_conds, on_link, threats = base.shared
     assert first.after is second.after is after
@@ -260,26 +250,27 @@ def test_new_step_on_another_plan_after_a_sibling_batch(gripper2):
     plan = null_plan(gripper2)
     ball1, ball2 = (OpenCondition(gripper2.fact_ids[f"(at {b} roomb)"], GOAL_STEP)
                     for b in ("ball1", "ball2"))
-    other = apply_resolver(plan, resolvers(plan, ball2, gripper2)[0])
+    other = new_step_children(plan, ball2, gripper2)[0]
     assert ball1 in other.open_conds and len(other.steps) == len(plan.steps) + 1
-    batch = [apply_resolver(plan, r) for r in resolvers(plan, ball1, gripper2)]
-    r = resolvers(plan, ball1, gripper2)[0]
-    child = apply_resolver(other, r)
+    batch = new_step_children(plan, ball1, gripper2)
+    act = new_step_actions(plan, ball1.fact, gripper2)[0]
+    child = NewStepBase(other, *ball1).child(act)
     sid = len(other.steps)
-    assert child.steps == other.steps + (r.action,)
+    assert child.steps == other.steps + (act,)
     assert child.links == other.links + (CausalLink(sid, ball1.fact, GOAL_STEP),)
     assert len(child.after) == sid + 1 and child.after is not batch[0].after
     assert child.ordered(INIT_STEP, sid) and child.ordered(sid, GOAL_STEP)
     assert child.open_conds == tuple(oc for oc in other.open_conds if oc != ball1) \
-        + tuple(OpenCondition(f, sid) for f in r.action.pre)
-    assert child == apply_resolver(copy.copy(other), r)
+        + tuple(OpenCondition(f, sid) for f in act.pre)
+    assert child == NewStepBase(copy.copy(other), *ball1).child(act)
 
 
 def test_entailed_edge_shares_parent_closure():
     # a0 precedes every step, so supporting the goal from a0 adds no ordering
     task = make_task(2, [], {0}, {0})
     plan = null_plan(task)
-    (r,) = resolvers(plan, OpenCondition(0, GOAL_STEP), task)
+    (r,) = resolvers(plan, OpenCondition(0, GOAL_STEP))
+    assert not new_step_actions(plan, 0, task)
     child = apply_resolver(plan, r)
     assert child.after is plan.after
     assert len(child.links) == 1
@@ -288,7 +279,8 @@ def test_entailed_edge_shares_parent_closure():
 def test_resolver_for_closed_condition_keeps_open_conditions():
     task = make_task(2, [], {0, 1}, {0, 1})
     plan = null_plan(task)
-    (r,) = resolvers(plan, OpenCondition(0, GOAL_STEP), task)
+    (r,) = resolvers(plan, OpenCondition(0, GOAL_STEP))
+    assert not new_step_actions(plan, 0, task)
     child = apply_resolver(plan, r)
     assert child.open_conds == (OpenCondition(1, GOAL_STEP),)
     # (0, a_inf) is no longer open: applying its resolver again removes nothing
@@ -397,7 +389,7 @@ def test_causal_link_invariants_along_refinements(gripper2):
         if is_solution(plan):
             break
         flaw = collect_flaws(plan)[0]
-        child = apply_resolver(plan, resolvers(plan, flaw, gripper2)[0])
+        child = refinements(plan, flaw, gripper2)[0]
         if child is None:
             break
         plan = child
@@ -425,10 +417,10 @@ def test_closure_acyclic_along_random_refinements(gripper2):
                 break
             flaws = collect_flaws(plan)
             flaw = flaws[rng.randrange(len(flaws))]
-            options = resolvers(plan, flaw, gripper2)
+            options = refinements(plan, flaw, gripper2)
             if not options:
                 break
-            child = apply_resolver(plan, options[rng.randrange(len(options))])
+            child = options[rng.randrange(len(options))]
             if child is None:
                 continue
             plan = child

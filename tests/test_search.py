@@ -16,14 +16,15 @@ from poclkit import search
 from poclkit.heuristics import FEATURE_NAMES, build_tables
 from poclkit.learning import LinearModel
 from poclkit.plans import (GOAL_STEP, NewStepBase, OpenCondition, PartialPlan, Resolver, Threat,
-                           apply_resolver, is_solution, null_plan, resolvers, step_sequence,
+                           is_solution, new_step_actions, null_plan, resolvers, step_sequence,
                            validate)
 from poclkit.search import (FeatureEvaluator, ModelEvaluator, SearchLimits, _best_index, expand,
                             gbfs, select_flaw)
 from poclkit.tuning import ErrorTracker
 
 from conftest import live_plans, load_fixture_task, make_task
-from oracles import bfs_optimal_length, collect_flaws, min_new_actions, random_linearization
+from oracles import (bfs_optimal_length, collect_flaws, min_new_actions, new_step_children,
+                     random_linearization, refinements)
 
 
 # ── select_flaw ──────────────────────────────────────────────────────────────
@@ -43,8 +44,7 @@ def test_threat_selected_before_open_conditions():
     for fact in (1, 0, 2):
         flaw = next(f for f in collect_flaws(plan)
                     if isinstance(f, OpenCondition) and f.fact == fact)
-        (r,) = [r for r in resolvers(plan, flaw, task) if r.kind == "new-step"]
-        plan = apply_resolver(plan, r)
+        (plan,) = new_step_children(plan, flaw, task)
     assert plan.threats and plan.open_conds
     tables = build_tables(task)
     for strategy in ("mc-loc", "mw-loc"):
@@ -72,9 +72,8 @@ def test_fallback_to_global_conditions():
     task = make_task(4, [({0}, {1}, set()), (set(), {2}, set())], {0}, {1, 2})
     tables = build_tables(task)
     plan = null_plan(task)
-    (r,) = [r for r in resolvers(plan, OpenCondition(2, GOAL_STEP), task)
-            if r.kind == "new-step"]
-    plan = apply_resolver(plan, r)    # newest step has no preconditions
+    (plan,) = new_step_children(plan, OpenCondition(2, GOAL_STEP), task)
+    # newest step has no preconditions
     assert all(oc.consumer != plan.newest_step for oc in plan.open_conds)
     flaw = select_flaw(plan, "mc-loc", tables)
     assert flaw == OpenCondition(1, GOAL_STEP)
@@ -116,9 +115,9 @@ def test_expand_reuse_and_new_child(gripper2, gripper2_tables):
     tables = build_tables(task)
     plan = null_plan(task)
     flaw = OpenCondition(1, GOAL_STEP)
-    res = resolvers(plan, flaw, task)
-    assert sorted(r.kind for r in res) == ["new-step", "reuse"]
-    children = [apply_resolver(plan, r) for r in res]
+    assert [r.kind for r in resolvers(plan, flaw)] == ["reuse"]
+    assert new_step_actions(plan, flaw.fact, task) == [task.actions[0]]
+    children = refinements(plan, flaw, task)
     counts = sorted(c.action_count for c in children)
     assert counts == [0, 1]
 
@@ -130,8 +129,7 @@ def test_expand_threat_children_differ_in_orderings():
     for fact in (1, 0, 2):
         flaw = next(f for f in collect_flaws(plan)
                     if isinstance(f, OpenCondition) and f.fact == fact)
-        (r,) = [r for r in resolvers(plan, flaw, task) if r.kind == "new-step"]
-        plan = apply_resolver(plan, r)
+        (plan,) = new_step_children(plan, flaw, task)
     tables = build_tables(task)
     children = expand(plan, task, "mc-loc", tables)
     assert len(children) == 2
@@ -147,9 +145,7 @@ def test_best_child_argmin():
 
 def test_best_child_tie_break_fewer_actions(chain_task):
     plan = null_plan(chain_task)
-    (r,) = [r for r in resolvers(plan, OpenCondition(2, GOAL_STEP), chain_task)
-            if r.kind == "new-step"]
-    deeper = apply_resolver(plan, r)
+    (deeper,) = new_step_children(plan, OpenCondition(2, GOAL_STEP), chain_task)
     assert _best_index([3.0, 3.0], [deeper.action_count, plan.action_count]) == 1
     assert _best_index([3.0, 3.0], [plan.action_count, plan.action_count]) == 0
 
@@ -240,7 +236,7 @@ def test_search_limits_reject_limits_no_search_can_meet(max_generated, wall_time
 
 @pytest.mark.parametrize("max_copies", [0, -1, -3])
 def test_gbfs_rejects_max_copies_below_one(gripper2, gripper2_tables, max_copies):
-    # ``resolvers`` cuts an adder only once the fact has a producer besides
+    # ``new_step_actions`` cuts an adder only once the fact has a producer besides
     # a0, so a bound below 1 would still let the search run and solve
     with pytest.raises(ValueError, match=rf"^max_copies must be None or >= 1, got {max_copies}$"):
         gbfs(gripper2, FeatureEvaluator("h_add", gripper2_tables), "mw-loc",
