@@ -338,9 +338,10 @@ def run_suite(config: SuiteConfig) -> ScoreReport:
              for evaluator in config.evaluators]
 
     _load.cache_clear()
-    workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
+    # the pool starts all its workers at once, so never more than the cells
+    workers = min(config.workers or os.cpu_count() or 1, len(cells))
     try:
-        if workers > 1 and len(cells) > 1:
+        if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_run_cell, cells))
         else:

@@ -302,6 +302,39 @@ def test_run_suite_parallel_deterministic(tmp_path):
     assert _report_without_time(r1.csv_path) == _report_without_time(r2.csv_path)
 
 
+@pytest.mark.parametrize("workers, problems, evaluators, pools", [
+    (0, ("gripper-1.pddl",), ("add", "oc"), [2]),
+    (0, ("gripper-1.pddl",), ("add",), []),
+    (8, ("gripper-1.pddl", "gripper-2.pddl"), ("add", "oc"), [4]),
+    (3, ("gripper-1.pddl", "gripper-2.pddl"), ("add", "oc"), [3]),
+    (1, ("gripper-1.pddl", "gripper-2.pddl"), ("add", "oc"), []),
+])
+def test_run_suite_starts_no_more_workers_than_cells(tmp_path, monkeypatch, workers, problems,
+                                                     evaluators, pools):
+    # the pool forks every worker up front, so one per core on a 2-cell suite
+    # would start idle processes; this stand-in maps in this process
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    report = run_suite(_suite(tmp_path, problems, evaluators, workers, max_nodes=2000))
+    assert made == pools
+    assert len(report.rows) == len(problems) * len(evaluators)
+
+
 def test_run_suite_writes_plan_files(tmp_path):
     report = run_suite(_suite(tmp_path, problems=("gripper-1.pddl",), evaluators=("add",)))
     plans = os.listdir(os.path.join(report.csv_path.rsplit(os.sep, 1)[0], "plans"))
