@@ -352,18 +352,24 @@ def load_model(path: str) -> LinearModel:
         if key not in doc:
             raise MalformedModelError(f"{path}: missing field {key!r}", key)
     names = doc["mask"]
-    if not isinstance(names, list) or any(n not in FEATURE_NAMES for n in names):
-        raise MalformedModelError(f"{path}: mask must list known feature names", "mask")
+    if (not isinstance(names, list) or any(n not in FEATURE_NAMES for n in names)
+            or len(set(names)) != len(names)):
+        raise MalformedModelError(f"{path}: mask must list known feature names, each once",
+                                  "mask")
     weights = doc["weights"]
     if not isinstance(weights, list) or len(weights) != len(names):
         raise MalformedModelError(
             f"{path}: weights must list one number per mask entry ({len(names)})", "weights")
+    # a JSON number only: float() would also take true and "2.5"
+    if not all(type(v) in (int, float) for v in weights + [doc["intercept"]]):
+        raise MalformedModelError(f"{path}: non-numeric weight or intercept", "weights")
     try:
-        weights = tuple(float(w) for w in weights)
+        weights = tuple(map(float, weights))
         intercept = float(doc["intercept"])
-    except (TypeError, ValueError) as exc:
-        raise MalformedModelError(f"{path}: non-numeric weight or intercept", "weights") from exc
-    if not all(map(math.isfinite, weights + (intercept,))):
+        finite = all(map(math.isfinite, weights + (intercept,)))
+    except OverflowError:    # an integer too large for a float
+        finite = False
+    if not finite:
         raise MalformedModelError(f"{path}: weights and intercept must be finite", "weights")
 
     mask = tuple(FEATURE_NAMES.index(n) for n in names)

@@ -514,7 +514,15 @@ def test_model_unknown_feature_rejected(tmp_path):
                                  {"mask": ["h_add"], "weights": [math.nan], "intercept": 1.0},
                                  {"mask": ["h_add"], "weights": [math.inf], "intercept": 1.0},
                                  {"mask": ["h_add"], "weights": [1.0], "intercept": math.nan},
-                                 {"mask": ["h_add"], "weights": [1.0], "intercept": -math.inf}])
+                                 {"mask": ["h_add"], "weights": [1.0], "intercept": -math.inf},
+                                 # float() would read each of these as a number
+                                 {"mask": ["h_add"], "weights": [True], "intercept": 0.0},
+                                 {"mask": ["h_add"], "weights": ["2.5"], "intercept": 0.0},
+                                 {"mask": ["h_add"], "weights": [1.0], "intercept": "1"},
+                                 {"mask": ["h_add", "h_add"], "weights": [1.0, 1.0],
+                                  "intercept": 0.0},
+                                 # an integer no float holds
+                                 {"mask": ["h_add"], "weights": [10 ** 400], "intercept": 0.0}])
 def test_model_of_wrong_shape_rejected(tmp_path, capsys, doc):
     path = str(tmp_path / "shape.json")
     with open(path, "w") as fh:
