@@ -33,11 +33,13 @@ up to 2,000 freed tuples of each length up to 20 on free lists, which held
 about 256 KB after the bundled suites' searches.
 
 ``resolvers`` gives the refinements that add no step: a threat's orderings
-and an open condition's reuses. An open condition's new-step children, one
-per action of ``new_step_actions`` (the adders the copy bound admits),
-differ only in the action. They share one ``NewStepBase``: the closure, the
-new causal link and the links tuple, the open conditions less the supported
-one, and the threats on the new link. ``NewStepBase.child`` is the one builder of
+and an open condition's reuses. An open condition also has one new-step
+child per action of ``new_step_actions``, the adders the copy bound admits.
+
+The new-step children of one open condition, one per adding action, differ
+only in the action. They share one ``NewStepBase``: the closure, the new
+causal link and the links tuple, the open conditions less the supported one,
+and the threats on the new link. ``NewStepBase.child`` is the one builder of
 a new-step child, and each child builds only its steps, its ``producers``,
 its action's preconditions as open conditions and the threats its step
 poses to existing links. So a search can queue a child as its base plus its
