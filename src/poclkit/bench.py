@@ -52,9 +52,10 @@ def parse_model_spec(spec: str) -> Optional[tuple[str, bool]]:
     if not spec.startswith("model:"):
         return None
     path = spec[len("model:"):]
-    if path.endswith(":enhanced"):
-        return path[: -len(":enhanced")], True
-    return path, False
+    file = path.removesuffix(":enhanced")
+    if not file:
+        raise ValueError(f"model spec {spec!r} names no model file")
+    return file, file != path
 
 
 def build_evaluator(spec: str, tables: CostTables):
@@ -152,17 +153,17 @@ def parse_suite_config(text: str, base_dir: str = ".") -> SuiteConfig:
         if key == "problem":
             _add_once(problems, rebase(value), key, lineno)
         elif key == "evaluator":
-            model = parse_model_spec(value)
+            try:
+                model = parse_model_spec(value)
+                if model is None:
+                    base_feature(value)
+            except ValueError:
+                raise ValueError(f"suite config line {lineno}: evaluator must be "
+                                 f"{'|'.join(map(shorthand, FEATURE_NAMES))} or "
+                                 f"model:FILE[:enhanced], got {value!r}") from None
             if model is not None:
                 path, enhanced = model
                 value = "model:" + rebase(path) + (":enhanced" if enhanced else "")
-            else:
-                try:
-                    base_feature(value)
-                except ValueError:
-                    raise ValueError(f"suite config line {lineno}: evaluator must be "
-                                     f"{'|'.join(map(shorthand, FEATURE_NAMES))} or "
-                                     f"model:FILE[:enhanced], got {value!r}") from None
             _add_once(evaluators, value, key, lineno)
         elif key in SUITE_KEYS:
             _add_once(key_lines, key, "key", lineno)
@@ -318,7 +319,7 @@ def run_suite(config: SuiteConfig) -> ScoreReport:
     write one plan file, are a ``ValueError`` raised before any cell runs. A
     plan file is named by its cell's row key (problem stem, evaluator), so
     this also rejects a problem or evaluator listed twice and two problems
-    with one stem.
+    with one stem. ``out_dir/plans`` is made next, before the first cell.
     """
     for name, _, ok, need in SETTINGS.values():
         value = getattr(config, name)
@@ -336,6 +337,8 @@ def run_suite(config: SuiteConfig) -> ScoreReport:
               config.max_generated, config.wall_time, config.max_copies)
              for problem in config.problems
              for evaluator in config.evaluators]
+    plans_dir = os.path.join(config.out_dir, "plans")
+    os.makedirs(plans_dir, exist_ok=True)
 
     _load.cache_clear()
     # the pool starts all its workers at once, so never more than the cells
@@ -352,9 +355,6 @@ def run_suite(config: SuiteConfig) -> ScoreReport:
     _score_rows(rows)
     aggregates = _aggregate(rows, config.evaluators)
 
-    os.makedirs(config.out_dir, exist_ok=True)
-    plans_dir = os.path.join(config.out_dir, "plans")
-    os.makedirs(plans_dir, exist_ok=True)
     for row in rows:
         if row.solved:
             with open(os.path.join(plans_dir, _plan_filename(row.problem, row.evaluator)),

@@ -27,16 +27,20 @@ EXIT_INPUT = 3
 
 
 def _configure_logging() -> None:
+    """Install the handler ``POCL_LOG`` asks for in place of the one an
+    earlier call installed, so each ``main`` call prints a record once."""
+    logger = logging.getLogger("poclkit")
+    for old in [h for h in logger.handlers if h.get_name() == "pocl"]:
+        logger.removeHandler(old)
     level_name = os.environ.get("POCL_LOG", "off").lower()
     if level_name == "off":
-        logging.getLogger("poclkit").addHandler(logging.NullHandler())
-        return
-    level = logging.DEBUG if level_name == "trace" else logging.INFO
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
-    logger = logging.getLogger("poclkit")
+        handler = logging.NullHandler()
+    else:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
+        logger.setLevel(logging.DEBUG if level_name == "trace" else logging.INFO)
+    handler.set_name("pocl")
     logger.addHandler(handler)
-    logger.setLevel(level)
 
 
 def _positive(parse):
@@ -167,6 +171,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         text = fh.read()
     config = bench.parse_suite_config(text, base_dir=os.path.dirname(os.path.abspath(args.config)))
     report = bench.run_suite(config)
+    for row in report.rows:
+        if row.error and row.error not in ("limit-hit", "exhausted"):
+            print(f"error: {row.problem} x {row.evaluator}: {row.error}", file=sys.stderr)
     print(f"{'evaluator':<28} {'coverage':>8} {'quality':>9} {'time':>9} "
           f"{'nodes':>9} {'makespan':>9}")
     for evaluator in config.evaluators:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .grounding import GroundTask
 from .heuristics import FEATURE_NAMES, FeatureVector, build_tables, feature_vector
-from .plans import MAX_COPIES, PartialPlan, null_plan
-from .search import STRATEGIES, FeatureEvaluator, SearchLimits, SearchResult, gbfs
+from .plans import PartialPlan, null_plan
+from .search import FeatureEvaluator, SearchLimits, SearchResult, gbfs
 
 log = logging.getLogger("poclkit.learning")
 
@@ -86,30 +86,24 @@ class Dataset:
 
 @dataclass
 class DatasetConfig:
-    """Limits and choices of dataset generation; ``strategy`` is a named
-    flaw rule, one of ``search.STRATEGIES``."""
+    """Limits of dataset generation and its seed. Each draw searches with
+    ``gbfs``'s own flaw rule and copy bound."""
     seeds_per_problem: int = 10
     seed_max_generated: int = 500_000
     seed_wall_time: float = 180.0
     rng_seed: int = 0
-    strategy: str = "mw-loc"
-    max_copies: Optional[int] = MAX_COPIES
 
     def __post_init__(self):
         for name, ok, need in (
                 ("seeds_per_problem", self.seeds_per_problem >= 1, ">= 1"),
                 ("seed_max_generated", self.seed_max_generated >= 1, ">= 1"),
-                ("seed_wall_time", self.seed_wall_time > 0, "> 0"),
-                ("max_copies", self.max_copies is None or self.max_copies >= 1,
-                 "None or >= 1"),
-                ("strategy", self.strategy in STRATEGIES, f"one of {', '.join(STRATEGIES)}")):
+                ("seed_wall_time", self.seed_wall_time > 0, "> 0")):
             if not ok:
                 raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
 
 
 def generate_dataset(tasks: Sequence[GroundTask], base_heuristic: str,
-                     config: Optional[DatasetConfig] = None,
-                     domain_name: str = "") -> Dataset:
+                     config: Optional[DatasetConfig] = None) -> Dataset:
     """Run the seed-pool refinement loop over every task and collect instances.
 
     Each draw takes a random plan from the pool and refines it with the base
@@ -117,6 +111,7 @@ def generate_dataset(tasks: Sequence[GroundTask], base_heuristic: str,
     seed, target = new actions added) and feeds the plans generated along the
     way back into the pool; a failed one contributes neither. Draws are
     recorded by problem name, so two tasks with one name are a ValueError.
+    The dataset's domain is the first task's.
 
     A failed seed is searched once per problem. The pool only grows, so a
     pool index always names the same plan, and a failed search that ended
@@ -144,10 +139,9 @@ def generate_dataset(tasks: Sequence[GroundTask], base_heuristic: str,
             raise ValueError(f"tasks {names[task.problem_name]} and {pidx} share the problem "
                              f"name {task.problem_name!r}")
         names[task.problem_name] = pidx
-    if not domain_name and tasks:
-        domain_name = tasks[0].domain_name
 
-    dataset = Dataset(domain_name, base_heuristic, [], config.rng_seed)
+    dataset = Dataset(tasks[0].domain_name if tasks else "", base_heuristic, [],
+                      config.rng_seed)
     limits = SearchLimits(config.seed_max_generated, config.seed_wall_time)
     for pidx, task in enumerate(tasks):
         rng = Random(f"{config.rng_seed}:{pidx}")
@@ -161,13 +155,11 @@ def generate_dataset(tasks: Sequence[GroundTask], base_heuristic: str,
             solved, generated = False, failed.get(index)
             if generated is None:
                 sp = pool[index]
-                result = gbfs(task, evaluator, config.strategy, limits, tables,
-                              root=sp, max_copies=config.max_copies)
+                result = gbfs(task, evaluator, limits=limits, tables=tables, root=sp)
                 solved, generated = result.solved, result.generated
                 if solved:
-                    replay = gbfs(task, evaluator, config.strategy,
-                                  SearchLimits(generated, math.inf), tables, root=sp,
-                                  max_copies=config.max_copies, record_trace=True)
+                    replay = gbfs(task, evaluator, limits=SearchLimits(generated, math.inf),
+                                  tables=tables, root=sp, record_trace=True)
                     _check_replay(result, replay, task.problem_name, draw)
                     target = replay.plan.action_count - sp.action_count
                     dataset.instances.append(TrainingInstance(
@@ -393,10 +385,9 @@ def save_dataset(dataset: Dataset, path: str) -> None:
             writer.writerow([repr(v) for v in inst.features] + [inst.target])
 
 
-def load_dataset(path: str, domain_name: str = "", base_heuristic: str = "",
-                 rng_seed: int = 0) -> Dataset:
-    """Read a dataset CSV. The CSV carries no provenance metadata, so domain,
-    base heuristic, and seed must be supplied if they matter downstream."""
+def load_dataset(path: str) -> Dataset:
+    """Read a dataset CSV. The CSV carries no provenance metadata, so the
+    dataset's domain and base heuristic are empty and its seed is 0."""
     instances = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -419,4 +410,4 @@ def load_dataset(path: str, domain_name: str = "", base_heuristic: str = "",
             instances.append(TrainingInstance(FeatureVector(*values), int(target)))
     if not instances:
         raise EmptyDatasetError(f"{path}: no instances")
-    return Dataset(domain_name, base_heuristic, instances, rng_seed)
+    return Dataset("", "", instances, 0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import os
 import re
@@ -165,7 +166,8 @@ def test_parse_suite_config_rejects_duplicate_entries(tmp_path, capsys, key, fir
 @pytest.mark.parametrize("key, value", [
     ("max_nodes", "-3"), ("max_nodes", "0"), ("max_nodes", "1.5"), ("timeout", "-1"),
     ("timeout", "0"), ("timeout", "nan"), ("max_copies", "-1"), ("max_copies", "0"),
-    ("workers", "-1"), ("flaws", "xx"), ("evaluator", "bogus"),
+    ("workers", "-1"), ("flaws", "xx"), ("evaluator", "bogus"), ("evaluator", "model:"),
+    ("evaluator", "model::enhanced"),
 ])
 def test_parse_suite_config_rejects_out_of_range_numbers(tmp_path, capsys, key, value):
     # a limit no search can meet, or an evaluator no search has, would run
@@ -231,6 +233,16 @@ def test_run_suite_rejects_bad_settings_before_any_cell(tmp_path, monkeypatch, n
     with pytest.raises(ValueError, match=rf"^{name} must be .*got {re.escape(repr(value))}$"):
         run_suite(config)
     assert not os.path.exists(config.out_dir)
+
+
+def test_run_suite_makes_out_dir_before_any_cell(tmp_path, monkeypatch):
+    # an out_dir that cannot be made must fail before the suite is searched
+    monkeypatch.setattr(bench, "_run_cell", lambda cell: pytest.fail("a cell ran"))
+    config = _suite(tmp_path, problems=("gripper-1.pddl",), evaluators=("add",))
+    config.out_dir = str(tmp_path / "taken")
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    with pytest.raises(OSError):
+        run_suite(config)
 
 
 def test_time_s_is_the_search_time(tmp_path, monkeypatch, capsys):
@@ -494,6 +506,14 @@ def test_cli_solve_bad_eval_spec(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("spec", ["model:", "model::enhanced"])
+def test_cli_solve_empty_model_path_names_the_spec(capsys, spec):
+    code = cli.main(["solve", fixture_path("gripper.pddl"), fixture_path("gripper-1.pddl"),
+                     "--eval", spec])
+    assert code == 3
+    assert f"model spec {spec!r} names no model file" in capsys.readouterr().err
+
+
 def test_cli_usage_error():
     with pytest.raises(SystemExit) as err:
         cli.main(["solve"])   # missing required arguments
@@ -585,6 +605,42 @@ workers = 1
     out = capsys.readouterr().out
     assert "coverage" in out
     assert os.path.exists(str(tmp_path / "bench-out" / "report.csv"))
+
+
+def test_cli_bench_prints_cells_that_failed_with_an_error(tmp_path, monkeypatch, capsys):
+    # a missing file makes unsolved rows; only these, not a search that hit
+    # its node limit, get an error line, and the exit code stays 0
+    monkeypatch.setenv("POCL_LOG", "off")
+    config_path = tmp_path / "suite.cfg"
+    config_path.write_text(f"domain = {fixture_path('gripper.pddl')}\n"
+                           f"problem = {fixture_path('gripper-2.pddl')}\n"
+                           "problem = missing.pddl\nevaluator = add\nmax_nodes = 5\n"
+                           f"out_dir = {tmp_path / 'out'}\nworkers = 1\n")
+    assert cli.main(["bench", str(config_path)]) == cli.EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: missing x add: ")
+    assert "missing.pddl" in lines[0]
+    with open(tmp_path / "out" / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["problem"], r["solved"]) for r in rows] == [("gripper-2", "0"), ("missing", "0")]
+
+
+def test_cli_bench_logs_each_record_once_per_call(tmp_path, monkeypatch, capsys):
+    # each main() call configures logging; a second call must not print twice
+    logger = logging.getLogger("poclkit")
+    monkeypatch.setattr(logger, "handlers", list(logger.handlers))
+    monkeypatch.setenv("POCL_LOG", "info")
+    config_path = tmp_path / "suite.cfg"
+    config_path.write_text(f"domain = {fixture_path('gripper.pddl')}\n"
+                           f"problem = {fixture_path('gripper-1.pddl')}\nevaluator = add\n"
+                           f"max_nodes = 20000\nout_dir = {tmp_path / 'out'}\nworkers = 1\n")
+    level = logger.level
+    try:
+        for _ in range(2):
+            assert cli.main(["bench", str(config_path)]) == cli.EXIT_OK
+            assert capsys.readouterr().err.count("suite done") == 1
+    finally:
+        logger.setLevel(level)
 
 
 def test_cli_entry_point_subprocess():

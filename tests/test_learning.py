@@ -41,6 +41,8 @@ def test_target_is_new_action_count():
     config = DatasetConfig(seeds_per_problem=6, seed_max_generated=5000,
                            seed_wall_time=10.0, rng_seed=3)
     dataset = generate_dataset([task], "h_add", config)
+    assert (dataset.domain_name, dataset.base_heuristic, dataset.rng_seed) == \
+        (task.domain_name, "h_add", 3)
     assert dataset.instances
     for inst in dataset.instances:
         assert inst.seed_plan is not None and inst.solution_plan is not None
@@ -84,29 +86,16 @@ def test_successful_draw_grows_pool():
 @pytest.mark.parametrize("field, value", [
     ("seeds_per_problem", 0), ("seeds_per_problem", -1), ("seed_max_generated", 0),
     ("seed_wall_time", 0.0), ("seed_wall_time", -1.0), ("seed_wall_time", math.nan),
-    ("max_copies", 0),
 ])
 def test_dataset_config_rejects_limits_no_draw_can_meet(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be"):
         DatasetConfig(**{field: value})
 
 
-@pytest.mark.parametrize("strategy", ["best-first", "", None, "MW-LOC", select_flaw])
-def test_dataset_config_rejects_unknown_strategy(strategy):
-    with pytest.raises(ValueError, match=r"^strategy must be one of mc-loc, mw-loc, got "):
-        DatasetConfig(strategy=strategy)
-
-
-def test_dataset_config_accepts_named_strategies():
-    for strategy in ("mc-loc", "mw-loc"):
-        assert DatasetConfig(strategy=strategy).strategy is strategy
-
-
 def test_dataset_config_accepts_boundaries():
     config = DatasetConfig(seeds_per_problem=1, seed_max_generated=1,
-                           seed_wall_time=math.inf, max_copies=None)
-    assert (config.seeds_per_problem, config.seed_wall_time, config.max_copies) == \
-        (1, math.inf, None)
+                           seed_wall_time=math.inf)
+    assert (config.seeds_per_problem, config.seed_wall_time) == (1, math.inf)
 
 
 def test_empty_dataset_error():
@@ -139,8 +128,8 @@ def collecting_dataset(tasks, base_heuristic, config):
             before = len(pool)
             index = rng.randrange(before)
             sp = pool[index]
-            result = gbfs(task, evaluator, config.strategy, limits, tables, root=sp,
-                          max_copies=config.max_copies, record_trace=True)
+            result = gbfs(task, evaluator, limits=limits, tables=tables, root=sp,
+                          record_trace=True)
             if result.solved:
                 instances.append(TrainingInstance(
                     feature_vector(sp, tables), result.plan.action_count - sp.action_count,
@@ -589,6 +578,8 @@ def test_dataset_csv_round_trip(tmp_path):
     with open(path) as fh:
         assert fh.readline().strip() == "h_gval,h_oc,h_add,h_add_w,h_add_r,h_add_w_r,target"
     back = load_dataset(path)
+    # a CSV carries no provenance
+    assert (back.domain_name, back.base_heuristic, back.rng_seed) == ("", "", 0)
     assert [i.features for i in back.instances] == [i.features for i in instances]
     assert [i.target for i in back.instances] == [7, 2]
 
