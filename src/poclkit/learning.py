@@ -7,6 +7,11 @@ A seed whose refinement failed is searched once per problem: drawn again, it
 reuses the first search's outcome and node count. A correlation filter picks
 features; ordinary least squares fits the model, which reads only the
 features its mask names.
+
+Selection and fitting are plain Python over at most ``MAX_FIT_INSTANCES``
+rows and seven columns, so the package has no runtime dependency: sums are
+``math.fsum``, the condition number comes from Jacobi eigenvalues and the
+normal equations are solved by Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 from random import Random
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .grounding import GroundTask
 from .heuristics import FEATURE_NAMES, FeatureVector, build_tables, feature_vector
@@ -78,9 +81,10 @@ class Dataset:
     rng_seed: int
     draws: list[DrawRecord] = field(default_factory=list)
 
-    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        x = np.array([inst.features for inst in self.instances], dtype=float)
-        y = np.array([inst.target for inst in self.instances], dtype=float)
+    def matrix(self) -> tuple[list[list[float]], list[float]]:
+        """The feature rows and the targets, as floats."""
+        x = [[float(v) for v in inst.features] for inst in self.instances]
+        y = [float(inst.target) for inst in self.instances]
         return x, y
 
 
@@ -199,11 +203,22 @@ def _check_replay(first: SearchResult, replay: SearchResult, problem: str, draw:
 
 # ── Feature selection ────────────────────────────────────────────────────────
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    sa, sb = a.std(), b.std()
+def _mean(values: Sequence[float]) -> float:
+    return math.fsum(values) / len(values)
+
+
+def _std(values: Sequence[float]) -> float:
+    """Population standard deviation (divisor n)."""
+    m = _mean(values)
+    return math.sqrt(math.fsum((v - m) ** 2 for v in values) / len(values))
+
+
+def _pearson(a: Sequence[float], b: Sequence[float]) -> float:
+    sa, sb = _std(a), _std(b)
     if sa == 0.0 or sb == 0.0:
         return 0.0
-    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+    ma, mb = _mean(a), _mean(b)
+    return _mean([(u - ma) * (v - mb) for u, v in zip(a, b)]) / (sa * sb)
 
 
 def correlation_select(dataset: Dataset, low_threshold: float = 0.1,
@@ -215,20 +230,21 @@ def correlation_select(dataset: Dataset, low_threshold: float = 0.1,
     if len(dataset.instances) < 2:
         raise DatasetError("need at least 2 instances for feature selection")
     x, y = dataset.matrix()
-    if y.std() == 0.0:
+    if _std(y) == 0.0:
         raise DegenerateDatasetError("target is constant")
 
-    target_r = [_pearson(x[:, i], y) for i in range(x.shape[1])]
-    relevant = [i for i in range(x.shape[1])
-                if x[:, i].std() > 0.0 and abs(target_r[i]) >= low_threshold]
+    columns = list(zip(*x))
+    target_r = [_pearson(col, y) for col in columns]
+    relevant = [i for i, col in enumerate(columns)
+                if _std(col) > 0.0 and abs(target_r[i]) >= low_threshold]
 
     kept: list[int] = []
     for i in sorted(relevant, key=lambda i: -abs(target_r[i])):
-        if all(abs(_pearson(x[:, i], x[:, j])) <= high_threshold for j in kept):
+        if all(abs(_pearson(columns[i], columns[j])) <= high_threshold for j in kept):
             kept.append(i)
 
     if not kept:
-        kept = [max(range(x.shape[1]), key=lambda i: abs(target_r[i]))]
+        kept = [max(range(len(columns)), key=lambda i: abs(target_r[i]))]
     return tuple(sorted(kept))
 
 
@@ -265,7 +281,7 @@ def fit_linear(dataset: Dataset, mask: Sequence[int]) -> LinearModel:
     """
     mask = tuple(mask)
     x, y = dataset.matrix()
-    if y.std() == 0.0:
+    if _std(y) == 0.0:
         raise DegenerateDatasetError("target is constant")
     n = len(y)
     if n < len(mask) + 1:
@@ -274,12 +290,13 @@ def fit_linear(dataset: Dataset, mask: Sequence[int]) -> LinearModel:
     if n > MAX_FIT_INSTANCES:
         rng = Random(f"fit:{dataset.rng_seed}")
         keep = sorted(rng.sample(range(n), MAX_FIT_INSTANCES))
-        x, y = x[keep], y[keep]
+        x, y = [x[k] for k in keep], [y[k] for k in keep]
         n = MAX_FIT_INSTANCES
 
-    design = np.column_stack([np.ones(n), x[:, mask]])
-    gram = design.T @ design
-    rhs = design.T @ y
+    design = [[1.0] + [row[i] for i in mask] for row in x]
+    columns = list(zip(*design))
+    gram = [[math.fsum(a * b for a, b in zip(ci, cj)) for cj in columns] for ci in columns]
+    rhs = [math.fsum(a * b for a, b in zip(ci, y)) for ci in columns]
     metadata = {
         "domain": dataset.domain_name,
         "base_heuristic": dataset.base_heuristic,
@@ -287,18 +304,78 @@ def fit_linear(dataset: Dataset, mask: Sequence[int]) -> LinearModel:
         "instances": n,
         "seed": dataset.rng_seed,
     }
-    if np.linalg.cond(gram) > 1e12:
-        gram = gram + 1e-8 * np.eye(gram.shape[0])
+    if _condition(gram) > 1e12:
+        for i, row in enumerate(gram):
+            row[i] += 1e-8
         metadata["ridge"] = 1e-8
-    beta = np.linalg.solve(gram, rhs)
+    beta = _solve(gram, rhs)
 
-    residuals = y - design @ beta
-    ss_res = float(residuals @ residuals)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
+    residuals = [t - math.fsum(b * d for b, d in zip(beta, row)) for row, t in zip(design, y)]
+    ss_res = math.fsum(r * r for r in residuals)
+    my = _mean(y)
+    ss_tot = math.fsum((t - my) ** 2 for t in y)
     metadata["r2"] = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    metadata["residual_std"] = float(residuals.std())
+    metadata["residual_std"] = _std(residuals)
 
-    return LinearModel(tuple(float(b) for b in beta[1:]), float(beta[0]), mask, metadata)
+    return LinearModel(tuple(beta[1:]), beta[0], mask, metadata)
+
+
+def _condition(sym: list[list[float]]) -> float:
+    """The 2-norm condition number of a symmetric matrix: the ratio of its
+    largest to smallest absolute eigenvalue, inf when one is 0."""
+    eigen = [abs(e) for e in _eigenvalues(sym)]
+    return math.inf if min(eigen) == 0.0 else max(eigen) / min(eigen)
+
+
+def _eigenvalues(sym: list[list[float]]) -> list[float]:
+    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
+    A sweep rotates away every off-diagonal entry that is not negligible
+    against its two diagonal entries; it ends after a sweep that rotates
+    nothing, which keeps small eigenvalues accurate relative to their size."""
+    a = [row[:] for row in sym]
+    n = len(a)
+    for _ in range(100):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if abs(apq) <= 1e-18 * math.sqrt(abs(a[p][p] * a[q][q])):
+                    continue
+                rotated = True
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                for r in range(n):
+                    arp, arq = a[r][p], a[r][q]
+                    a[r][p], a[r][q] = c * arp - s * arq, s * arp + c * arq
+                for r in range(n):
+                    apr, aqr = a[p][r], a[q][r]
+                    a[p][r], a[q][r] = c * apr - s * aqr, s * apr + c * aqr
+                a[p][q] = a[q][p] = 0.0
+        if not rotated:
+            break
+    return [a[i][i] for i in range(n)]
+
+
+def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
+    """Solve ``matrix @ x = rhs`` by Gaussian elimination with partial
+    pivoting. A zero pivot means the system is singular: DatasetError."""
+    n = len(rhs)
+    a = [row[:] + [b] for row, b in zip(matrix, rhs)]
+    for k in range(n):
+        pivot = max(range(k, n), key=lambda r: abs(a[r][k]))
+        if a[pivot][k] == 0.0:
+            raise DatasetError("the normal equations are singular")
+        a[k], a[pivot] = a[pivot], a[k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            for c in range(k, n + 1):
+                a[r][c] -= f * a[k][c]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        x[k] = (a[k][n] - math.fsum(a[k][c] * x[c] for c in range(k + 1, n))) / a[k][k]
+    return x
 
 
 # ── Persistence ──────────────────────────────────────────────────────────────

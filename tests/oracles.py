@@ -2,9 +2,10 @@
 
 Each oracle deliberately uses a different formulation from the code under
 test: plain-dict value iteration for additive costs, breadth-first state
-search for optimal lengths, closed-form two-parameter least squares, an
-exhaustive plan-space enumeration for minimum remaining refinement cost, and
-a recursive-descent reader over the tokens of each line for s-expressions.
+search for optimal lengths, closed-form two-parameter least squares and its
+fit statistics, an exhaustive plan-space enumeration for minimum remaining
+refinement cost, and a recursive-descent reader over the tokens of each line
+for s-expressions.
 Beside them are the test-only helpers: ``new_step_children`` and
 ``refinements`` for the children of one flaw, ``built`` for the children of
 ``expand``, random linearizations for validation sampling, and PDDL printers
@@ -115,6 +116,18 @@ def ols_line(xs: list[float], ys: list[float]) -> tuple[float, float]:
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     slope = sxy / sxx
     return slope, my - slope * mx
+
+
+def ols_line_statistics(xs: list[float], ys: list[float]) -> tuple[float, float]:
+    """r2 and the population standard deviation of the residuals of the
+    closed-form line ``ols_line`` fits, summed in input order."""
+    slope, intercept = ols_line(xs, ys)
+    n = len(ys)
+    residuals = [y - (slope * x + intercept) for x, y in zip(xs, ys)]
+    mean_r = sum(residuals) / n
+    my = sum(ys) / n
+    r2 = 1.0 - sum(r * r for r in residuals) / sum((y - my) ** 2 for y in ys)
+    return r2, (sum((r - mean_r) ** 2 for r in residuals) / n) ** 0.5
 
 
 def min_new_actions(task: GroundTask, plan: PartialPlan, cap: int = 12) -> int | None:

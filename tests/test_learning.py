@@ -21,7 +21,7 @@ from poclkit.plans import format_plan, is_solution, null_plan
 from poclkit.search import FeatureEvaluator, ModelEvaluator, SearchLimits, gbfs, select_flaw
 
 from conftest import fixture_path, live_plans, load_fixture_task, make_task
-from oracles import ols_line
+from oracles import ols_line, ols_line_statistics
 
 INF = math.inf
 
@@ -366,6 +366,8 @@ def test_exact_interpolation():
     assert model.intercept == pytest.approx(0.0, abs=1e-9)
     for (a, b), t in points:
         assert model.predict(vec(a, b, 0, 0, 0, 0)) == pytest.approx(t, abs=1e-9)
+    assert model.metadata["r2"] == pytest.approx(1.0, abs=1e-12)
+    assert model.metadata["residual_std"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_constant_target_rejected():
@@ -394,6 +396,9 @@ def test_noisy_recovery_matches_closed_form():
     slope, intercept = ols_line(xs, ys)
     assert model.weights[0] == pytest.approx(slope, abs=1e-9)
     assert model.intercept == pytest.approx(intercept, abs=1e-9)
+    r2, residual_std = ols_line_statistics(xs, ys)
+    assert model.metadata["r2"] == pytest.approx(r2, abs=1e-12)
+    assert model.metadata["residual_std"] == pytest.approx(residual_std, rel=1e-6)
     assert abs(model.weights[0] - 3.0) <= 0.05
     assert abs(model.intercept - 2.0) <= 0.1
 
@@ -420,6 +425,21 @@ def test_singular_gram_gets_ridge():
     model = fit_linear(synthetic_dataset(instances), (0, 1))
     assert model.metadata.get("ridge") == 1e-8
     assert model.predict(vec(2, 2, 0, 0, 0, 0)) == pytest.approx(5.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("centre, ridge", [(707, False), (1414, True)])
+def test_ridge_when_the_gram_condition_number_exceeds_1e12(centre, ridge):
+    # x = centre -+ 1 in equal numbers: the Gram matrix of [1, x] over 2m rows
+    # is 2m [[1, c], [c, c^2 + 1]], with eigenvalue product 1 (times (2m)^2),
+    # so its condition number is the square of its larger eigenvalue
+    instances = [TrainingInstance(vec(centre + d, 0, 0, 0, 0, 0), 5 + d)
+                 for d in (-1, 1) for _ in range(10)]
+    trace = 2.0 + centre ** 2
+    condition = ((trace + math.sqrt(trace ** 2 - 4.0)) / 2.0) ** 2
+    assert (condition > 1e12) == ridge and 2e11 < condition < 5e12
+    model = fit_linear(synthetic_dataset(instances), (0,))
+    assert ("ridge" in model.metadata) == ridge
+    assert model.predict(vec(centre + 1, 0, 0, 0, 0, 0)) == pytest.approx(6.0, abs=1e-3)
 
 
 def test_subsampling_caps_instances():
@@ -621,7 +641,7 @@ def test_dataset_target_not_a_whole_number_rejected(tmp_path, capsys, target):
 
 @pytest.mark.parametrize("column, value", [(0, "nan"), (2, "inf"), (5, "-inf"), (3, "NaN")])
 def test_dataset_feature_not_finite_rejected(tmp_path, capsys, column, value):
-    # numpy would drop such a column in correlation_select with only warnings
+    # correlation_select would drop such a column without an error
     path = str(tmp_path / "data.csv")
     _write_dataset(path, ["3", "4"])
     with open(path) as fh:
