@@ -2,7 +2,8 @@
 or run a benchmark suite.
 
 Exit codes: 0 solved/ok, 1 unsolved or limit hit, 2 usage error, 3 input
-error. ``POCL_LOG={off|info|trace}`` controls diagnostics on stderr.
+error. ``POCL_LOG={off|info|trace}`` (any case) controls diagnostics on
+stderr; any other value is an input error, reported before the command runs.
 """
 
 from __future__ import annotations
@@ -26,19 +27,22 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 
 
-def _configure_logging() -> None:
-    """Install the handler ``POCL_LOG`` asks for in place of the one an
-    earlier call installed, so each ``main`` call prints a record once."""
+# POCL_LOG's values, each with the level it sets; off installs no output
+LOG_LEVELS = {"off": None, "info": logging.INFO, "trace": logging.DEBUG}
+
+
+def _configure_logging(level: int | None) -> None:
+    """Install the handler for ``level`` in place of the one an earlier call
+    installed, so each ``main`` call prints a record once."""
     logger = logging.getLogger("poclkit")
     for old in [h for h in logger.handlers if h.get_name() == "pocl"]:
         logger.removeHandler(old)
-    level_name = os.environ.get("POCL_LOG", "off").lower()
-    if level_name == "off":
+    if level is None:
         handler = logging.NullHandler()
     else:
         handler = logging.StreamHandler(sys.stderr)
         handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
-        logger.setLevel(logging.DEBUG if level_name == "trace" else logging.INFO)
+        logger.setLevel(level)
     handler.set_name("pocl")
     logger.addHandler(handler)
 
@@ -185,7 +189,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
+    setting = os.environ.get("POCL_LOG", "off")
+    if setting.lower() not in LOG_LEVELS:
+        print(f"error: POCL_LOG must be off, info or trace, got {setting!r}", file=sys.stderr)
+        return EXIT_INPUT
+    _configure_logging(LOG_LEVELS[setting.lower()])
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

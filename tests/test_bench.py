@@ -652,6 +652,37 @@ def test_cli_entry_point_subprocess():
     assert ";; outcome=solved" in proc.stdout
 
 
+def test_no_command_imports_numpy(tmp_path):
+    # numpy set to None in sys.modules makes any import of it fail
+    script = f"""
+import sys
+sys.modules["numpy"] = None
+from poclkit import cli
+gripper = {fixture_path('gripper.pddl')!r}
+data, model = {str(tmp_path / 'data.csv')!r}, {str(tmp_path / 'model.json')!r}
+print(cli.main(["solve", gripper, {fixture_path('gripper-1.pddl')!r}]),
+      cli.main(["learn", "dataset", gripper, {fixture_path('gripper-1.pddl')!r},
+                {fixture_path('gripper-2.pddl')!r}, "--seeds-per-problem", "3",
+                "--out", data]),
+      cli.main(["learn", "fit", data, "--out", model]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 0 0"
+
+
+@pytest.mark.parametrize("value", ["of", "", "debug", "infos"])
+def test_pocl_log_value_not_known_is_an_input_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("POCL_LOG", value)
+    code = cli.main(["solve", fixture_path("gripper.pddl"), fixture_path("gripper-1.pddl")])
+    assert code == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: POCL_LOG must be off, info or trace, got {value!r}\n"
+
+
 def test_pocl_log_env_controls_stderr(tmp_path):
     config_path = str(tmp_path / "suite.cfg")
     with open(config_path, "w") as fh:
